@@ -5,6 +5,9 @@ requested analysis and writes CSV artifacts plus ``key = value`` summary
 lines. Outputs contain no timestamps, so a given (config, seed) pair always
 produces byte-identical files.
 
+Each measurement arrangement is analyzed by one ``(cfg, stream)`` function
+that every subcommand using it calls; :func:`_run` does the rest.
+
 Exit codes: 0 on success, 2 for configuration problems, 3 for analysis
 failures.
 """
@@ -12,13 +15,19 @@ failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .config import (
     PRESET_NAMES,
+    PRESETS,
     ConfigError,
     ExperimentConfig,
     config_text,
@@ -27,8 +36,10 @@ from .config import (
 )
 from .correlator import (
     AnalysisError,
+    CoincidenceMetrics,
     CorrelationHistogram,
     G2Result,
+    HeraldedG2,
     coincidence_metrics,
     cross_correlation_histogram,
     heralded_autocorrelation,
@@ -54,6 +65,11 @@ from .tagstream import FormatError, TagStream, TagStreamError, read_tags, write_
 
 __all__ = ["main"]
 
+Lines = list[tuple[str, object]]
+# save(name, write) runs write(path) for an artifact in the out directory and
+# returns the artifact's final path
+Save = Callable[[str, Callable[[str], object]], str]
+
 
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
@@ -63,90 +79,74 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _emit(lines: list[tuple[str, object]], dest_path: str | None = None) -> None:
-    text = "\n".join(f"{key} = {_fmt(value)}" for key, value in lines) + "\n"
-    sys.stdout.write(text)
-    if dest_path is not None:
-        _atomic_write_text(dest_path, text)
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+# the mode a plain open() would give; mkstemp creates files private to the user
+_FILE_MODE = 0o666 & ~_umask()
 
 
-def _atomic_write(path: str, writer) -> None:
-    """Run ``writer(file)`` against a temp file, then move it into place."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer(fh)
-    os.replace(tmp, path)
+def _write_atomic(path: str, write: Callable[[str], object]) -> None:
+    """Run ``write(tmp)`` on a unique temporary file beside ``path``, then move
+    it into place. On any failure the temporary file is removed and ``path``
+    is left as it was."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        write(tmp)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
-def _out_dir(cfg: ExperimentConfig, args: argparse.Namespace) -> str:
-    out = args.out if args.out else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+def _text(text: str) -> Callable[[str], object]:
+    """A writer that puts ``text`` in the file it is given."""
+    return lambda path: Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def _csv(columns: str, rows: list[tuple]) -> Callable[[str], object]:
+    """A writer for the header line ``columns`` and comma-separated ``rows``."""
+    return _text("".join([columns + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows]))
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = preset_config(getattr(args, "preset", "reference"))
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config) if args.config else preset_config(args.preset)
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
-def _obtain_stream(
-    cfg: ExperimentConfig, args: argparse.Namespace, **source_overrides: object
-) -> tuple[TagStream, float]:
-    """Simulate per config, or load ``--tags`` if given. Returns the stream
-    and the acquisition duration in seconds."""
-    tags_path = getattr(args, "tags", None)
-    if tags_path:
-        stream = read_tags(tags_path)
-        return stream, stream.span_ps * 1e-12
-    source = cfg.make_source(**source_overrides)
-    return simulate_source(source, cfg.duration_s, cfg.seed), cfg.duration_s
+# -- one function per measurement arrangement -------------------------------------
 
 
-def _provenance(cfg: ExperimentConfig, args: argparse.Namespace) -> list[tuple[str, object]]:
-    origin = args.config if getattr(args, "config", None) else getattr(args, "preset", "reference")
-    return [("config", origin), ("seed", cfg.seed)]
+class Peak(NamedTuple):
+    """A correlation peak: histogram, fit, windowed g2 and zero-delay g2."""
+
+    hist: CorrelationHistogram
+    fit: FitResult
+    g2: G2Result
+    zero: float
+    zero_err: float
 
 
-def _fit_lines(fit: FitResult, prefix: str = "fit_") -> list[tuple[str, object]]:
-    lines: list[tuple[str, object]] = [
-        (prefix + "model", fit.model),
-        (prefix + "converged", fit.converged),
-        (prefix + "iterations", fit.iterations),
-    ]
-    for name in fit.names:
-        lines.append((prefix + name, fit.param(name)))
-        lines.append((prefix + name + "_err", fit.error(name)))
-    lines.append((prefix + "fwhm_ns", fit.fwhm_s() * 1e9))
-    return lines
-
-
-def _xcorr_analysis(
-    cfg: ExperimentConfig, stream: TagStream
-) -> tuple[CorrelationHistogram, FitResult, G2Result, float, float]:
-    """Histogram, peak fit, windowed g2 and the zero-delay estimate.
+def xcorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
+    """Herald-signal cross-correlation: histogram, two-sided peak fit,
+    windowed g2 and the zero-delay estimate.
 
     The zero-delay value divides the fitted peak amplitude by the counted
     accidental floor instead of the fitted one; with few counts per floor bin
     the Poisson-weighted fit biases its floor low, the counted mean does not.
     """
     hist = cross_correlation_histogram(
-        stream,
-        cfg.herald_channel,
-        cfg.signal_channel,
-        cfg.bin_ps,
-        cfg.tau_range_ps,
+        stream, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps,
         workers=cfg.workers,
     )
     fit = fit_double_exponential(hist)
@@ -156,128 +156,111 @@ def _xcorr_analysis(
         g2_zero = 1.0 + fit.param("amplitude") / g2.floor_per_bin
         g2_zero_err = (g2_zero - 1.0) * fit.error("amplitude") / fit.param("amplitude")
     else:
-        g2_zero = float("nan")
-        g2_zero_err = float("nan")
-    return hist, fit, g2, g2_zero, g2_zero_err
+        g2_zero = g2_zero_err = float("nan")
+    return Peak(hist, fit, g2, g2_zero, g2_zero_err)
 
 
-def _autocorr_analysis(
-    cfg: ExperimentConfig, stream: TagStream, channel_a: int, channel_b: int
-) -> tuple[CorrelationHistogram, FitResult, G2Result]:
+def autocorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
+    """Signal-partner autocorrelation across the splitter: histogram,
+    symmetric peak fit, windowed g2 and the fitted zero-delay value."""
     hist = cross_correlation_histogram(
-        stream, channel_a, channel_b, cfg.bin_ps, cfg.tau_range_ps, workers=cfg.workers
+        stream, cfg.signal_channel, cfg.partner_channel, cfg.bin_ps, cfg.tau_range_ps,
+        workers=cfg.workers,
     )
     fit = fit_symmetric_exponential(hist)
     center = int(round(fit.param("tau0_s") * 1e12)) if fit.converged else 0
     g2 = normalized_g2(hist, cfg.window_ps, center_ps=center, floor_region_ps=cfg.floor_region_ps)
-    return hist, fit, g2
+    return Peak(hist, fit, g2, fit.g2_zero(), fit.error("contrast"))
 
 
-def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    stream, duration_s = _obtain_stream(cfg, args)
-    path = os.path.join(out, "tags.bin")
-    tmp = path + ".tmp"
-    write_tags(stream, tmp)
-    os.replace(tmp, path)
-    lines = _provenance(cfg, args)
-    lines += [("duration_s", duration_s), ("tags", len(stream)), ("tag_file", path)]
-    for channel, label in sorted(stream.channel_labels.items()):
-        count = stream.count(channel)
-        lines.append((f"count_{label}", count))
-        lines.append((f"rate_{label}_hz", count / duration_s))
-    _emit(lines)
-    return 0
-
-
-def cmd_xcorr(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    stream, duration_s = _obtain_stream(cfg, args)
-    hist, fit, g2, g2_zero, g2_zero_err = _xcorr_analysis(cfg, stream)
-    csv_path = os.path.join(out, "cross_correlation.csv")
-    _atomic_write(csv_path, lambda fh: write_histogram_csv(hist, fh))
-    lines = _provenance(cfg, args)
-    lines += [("duration_s", duration_s), ("tags", len(stream)), ("histogram", csv_path)]
-    lines += _fit_lines(fit)
-    lines += [
-        ("window_ns", cfg.window_ns),
-        ("g2", g2.value),
-        ("g2_err", g2.uncertainty),
-        ("g2_zero", g2_zero),
-        ("g2_zero_err", g2_zero_err),
-    ]
-    _emit(lines, os.path.join(out, "xcorr_summary.txt"))
-    return 0
-
-
-def cmd_autocorr(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    stream, duration_s = _obtain_stream(cfg, args)
-    hist, fit, g2 = _autocorr_analysis(cfg, stream, cfg.signal_channel, cfg.partner_channel)
-    csv_path = os.path.join(out, "auto_correlation.csv")
-    _atomic_write(csv_path, lambda fh: write_histogram_csv(hist, fh))
-    lines = _provenance(cfg, args)
-    lines += [("duration_s", duration_s), ("tags", len(stream)), ("histogram", csv_path)]
-    lines += _fit_lines(fit)
-    lines += [
-        ("window_ns", cfg.window_ns),
-        ("g2", g2.value),
-        ("g2_err", g2.uncertainty),
-        ("g2_zero", fit.g2_zero()),
-        ("g2_zero_err", fit.error("contrast")),
-    ]
-    _emit(lines, os.path.join(out, "autocorr_summary.txt"))
-    return 0
-
-
-def _zero_order_index(orders) -> int:
-    for index, order in enumerate(orders):
-        if order == 0:
-            return index
-    raise AnalysisError("order histogram lacks the zero entry")
-
-
-def cmd_heralded(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    stream, duration_s = _obtain_stream(cfg, args)
-    heralded = heralded_autocorrelation(
-        stream,
-        cfg.herald_channel,
-        cfg.signal_channel,
-        cfg.partner_channel,
-        cfg.window_ps,
+def heralded(cfg: ExperimentConfig, stream: TagStream) -> HeraldedG2:
+    """Autocorrelation of the split signal arm, conditioned on heralds."""
+    return heralded_autocorrelation(
+        stream, cfg.herald_channel, cfg.signal_channel, cfg.partner_channel, cfg.window_ps,
         n_max=cfg.n_max,
     )
-    csv_path = os.path.join(out, "heralded_orders.csv")
-    _atomic_write(csv_path, lambda fh: write_fasel_csv(heralded.histogram, fh))
-    hist = heralded.histogram
-    zero_index = _zero_order_index(hist.orders)
-    others = (hist.counts.sum() - hist.counts[zero_index]) / (len(hist.counts) - 1)
-    lines = _provenance(cfg, args)
-    lines += [
-        ("duration_s", duration_s),
-        ("heralds", hist.herald_count),
-        ("window_ns", cfg.window_ns),
-        ("orders", csv_path),
-        ("h0", int(hist.counts[zero_index])),
-        ("h_other_mean", others),
-        ("g2_iss", heralded.value),
-        ("g2_iss_err", heralded.uncertainty),
-    ]
-    _emit(lines, os.path.join(out, "heralded_summary.txt"))
-    return 0
 
 
-def cmd_metrics(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    stream, duration_s = _obtain_stream(cfg, args)
-    met = coincidence_metrics(
-        stream,
-        cfg.herald_channel,
-        cfg.signal_channel,
-        cfg.window_ps,
+def metrics(cfg: ExperimentConfig, stream: TagStream) -> CoincidenceMetrics:
+    """Singles, coincidences and heralding efficiency in the window."""
+    return coincidence_metrics(
+        stream, cfg.herald_channel, cfg.signal_channel, cfg.window_ps,
         eta_det_s=cfg.detector_a_efficiency,
     )
+
+
+# -- subcommands: each returns its summary lines after the provenance -----------
+
+
+def cmd_simulate(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
+    """generate a tag stream and write it to a binary tag file"""
+    path = save("tags.bin", partial(write_tags, stream))
+    lines: Lines = [("tags", len(stream)), ("tag_file", path)]
+    for channel, label in sorted(stream.channel_labels.items()):
+        count = stream.count(channel)
+        lines += [(f"count_{label}", count), (f"rate_{label}_hz", count / cfg.duration_s)]
+    return lines
+
+
+def _g2_lines(peak: Peak, window_key: str, zero_key: str) -> Lines:
+    return [
+        (window_key, peak.g2.value),
+        (window_key + "_err", peak.g2.uncertainty),
+        (zero_key, peak.zero),
+        (zero_key + "_err", peak.zero_err),
+    ]
+
+
+def _peak_lines(cfg: ExperimentConfig, stream: TagStream, peak: Peak, path: str) -> Lines:
+    fit = peak.fit
+    lines: Lines = [
+        ("tags", len(stream)),
+        ("histogram", path),
+        ("fit_model", fit.model),
+        ("fit_converged", fit.converged),
+        ("fit_iterations", fit.iterations),
+    ]
+    for name in fit.names:
+        lines += [("fit_" + name, fit.param(name)), ("fit_" + name + "_err", fit.error(name))]
+    lines.append(("fit_fwhm_ns", fit.fwhm_s() * 1e9))
+    return lines + [("window_ns", cfg.window_ns), *_g2_lines(peak, "g2", "g2_zero")]
+
+
+def cmd_xcorr(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
+    """signal-idler cross-correlation histogram, peak fit and g2"""
+    peak = xcorr(cfg, stream)
+    path = save("cross_correlation.csv", partial(write_histogram_csv, peak.hist))
+    return _peak_lines(cfg, stream, peak, path)
+
+
+def cmd_autocorr(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
+    """splitter autocorrelation histogram, fit and windowed g2"""
+    peak = autocorr(cfg, stream)
+    path = save("auto_correlation.csv", partial(write_histogram_csv, peak.hist))
+    return _peak_lines(cfg, stream, peak, path)
+
+
+def cmd_heralded(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
+    """conditioned autocorrelation of the heralded arm"""
+    result = heralded(cfg, stream)
+    hist = result.histogram
+    path = save("heralded_orders.csv", partial(write_fasel_csv, hist))
+    h0 = hist.counts[list(hist.orders).index(0)]
+    others = (hist.counts.sum() - h0) / (len(hist.counts) - 1)
+    return [
+        ("heralds", hist.herald_count),
+        ("window_ns", cfg.window_ns),
+        ("orders", path),
+        ("h0", int(h0)),
+        ("h_other_mean", others),
+        ("g2_iss", result.value),
+        ("g2_iss_err", result.uncertainty),
+    ]
+
+
+def cmd_metrics(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
+    """coincidence counts, heralding efficiency and rate budget"""
+    met = metrics(cfg, stream)
     slope = met.coincidence_rate_hz / cfg.pump_mw
     bandwidth = biphoton_from_linewidths(
         cfg.signal_linewidth_mhz * 1e6, cfg.idler_linewidth_mhz * 1e6
@@ -293,9 +276,7 @@ def cmd_metrics(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         bandwidth,
         cfg.window_ps * 1e-12,
     )
-    lines = _provenance(cfg, args)
-    lines += [
-        ("duration_s", duration_s),
+    return [
         ("window_ns", cfg.window_ns),
         ("herald_count", met.herald_count),
         ("signal_count", met.signal_count),
@@ -311,8 +292,6 @@ def cmd_metrics(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         ("spectral_brightness_per_s_mw_mhz", budget.spectral_brightness_per_s_mw_mhz),
         ("creation_prob_per_mw", budget.creation_prob_per_mw),
     ]
-    _emit(lines, os.path.join(out, "metrics.txt"))
-    return 0
 
 
 def _model_g2_si(cfg: ExperimentConfig, pump_mw: float) -> float:
@@ -322,10 +301,7 @@ def _model_g2_si(cfg: ExperimentConfig, pump_mw: float) -> float:
     window_s = cfg.window_ps * 1e-12
     eta_s = cfg.escape_s * cfg.transmission_s * cfg.detector_a_efficiency
     eta_i = (
-        cfg.escape_i
-        * cfg.transmission_i
-        * cfg.idler_filter_transmission
-        * cfg.detector_i_efficiency
+        cfg.escape_i * cfg.transmission_i * cfg.idler_filter_transmission * cfg.detector_i_efficiency
     )
     scale_s = sum(weights) / weights[0]
     scale_i = (
@@ -346,47 +322,30 @@ def _model_g2_si(cfg: ExperimentConfig, pump_mw: float) -> float:
     )
 
 
-def cmd_sweep_power(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
+def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
+    """repeat the correlation measurements across pump powers"""
 
     def run_point(index: int) -> tuple:
         pump = cfg.powers_mw[index]
         seed = cfg.seed * 10007 + 2 * index
-        # coincidence arrangement: the full signal arm on detector A
-        source_x = cfg.make_source(pump_mw=pump, splitter_ratio=1.0)
-        stream_x = simulate_source(source_x, cfg.point_duration_s, seed)
+        # coincidence arrangement: the full signal arm on detector A; its g2
+        # is a one-worker histogram read at zero delay, without a fit
+        stream_x = simulate_source(
+            cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed
+        )
         hist = cross_correlation_histogram(
             stream_x, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps
         )
         g2 = normalized_g2(hist, cfg.window_ps, center_ps=0, floor_region_ps=cfg.floor_region_ps)
-        met = coincidence_metrics(
-            stream_x,
-            cfg.herald_channel,
-            cfg.signal_channel,
-            cfg.window_ps,
-            eta_det_s=cfg.detector_a_efficiency,
-        )
+        met = metrics(cfg, stream_x)
         # heralded arrangement: signal arm split 50/50
-        source_h = cfg.make_source(pump_mw=pump, splitter_ratio=0.5)
-        stream_h = simulate_source(source_h, cfg.point_duration_s, seed + 1)
-        heralded = heralded_autocorrelation(
-            stream_h,
-            cfg.herald_channel,
-            cfg.signal_channel,
-            cfg.partner_channel,
-            cfg.window_ps,
-            n_max=cfg.n_max,
+        stream_h = simulate_source(
+            cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1
         )
+        iss = heralded(cfg, stream_h)
         return (
-            pump,
-            met.coincidence_count,
-            met.coincidence_rate_hz,
-            met.heralding_efficiency,
-            g2.value,
-            g2.uncertainty,
-            _model_g2_si(cfg, pump),
-            heralded.value,
-            heralded.uncertainty,
+            pump, met.coincidence_count, met.coincidence_rate_hz, met.heralding_efficiency,
+            g2.value, g2.uncertainty, _model_g2_si(cfg, pump), iss.value, iss.uncertainty,
         )
 
     indices = range(len(cfg.powers_mw))
@@ -395,35 +354,16 @@ def cmd_sweep_power(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             rows = list(pool.map(run_point, indices))
     else:
         rows = [run_point(i) for i in indices]
-
-    csv_path = os.path.join(out, "power_sweep.csv")
-
-    def write(fh) -> None:
-        fh.write(
-            "power_mw,coincidences,coincidence_rate_hz,eta_h,"
-            "g2_si,g2_si_err,g2_si_model,g2_iss,g2_iss_err\n"
-        )
-        for row in rows:
-            pump, count, rate, eta_h, g2v, g2e, g2m, gissv, gisse = row
-            fh.write(
-                f"{_fmt(pump)},{count},{_fmt(rate)},{_fmt(eta_h)},"
-                f"{_fmt(g2v)},{_fmt(g2e)},{_fmt(g2m)},{_fmt(gissv)},{_fmt(gisse)}\n"
-            )
-
-    _atomic_write(csv_path, write)
-    lines = _provenance(cfg, args)
-    lines += [
-        ("point_duration_s", cfg.point_duration_s),
-        ("points", len(rows)),
-        ("sweep", csv_path),
-    ]
-    _emit(lines)
-    return 0
+    columns = (
+        "power_mw,coincidences,coincidence_rate_hz,eta_h,"
+        "g2_si,g2_si_err,g2_si_model,g2_iss,g2_iss_err"
+    )
+    path = save("power_sweep.csv", _csv(columns, rows))
+    return [("point_duration_s", cfg.point_duration_s), ("points", len(rows)), ("sweep", path)]
 
 
-def cmd_sweep_window(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    stream, duration_s = _obtain_stream(cfg, args)
+def cmd_sweep_window(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
+    """coincidence rate, efficiency and g2 versus window width"""
     windows_ps = [int(round(w * 1000)) for w in cfg.windows_ns]
     points = window_sweep(
         stream,
@@ -436,49 +376,29 @@ def cmd_sweep_window(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         floor_region_ps=cfg.floor_region_ps,
         workers=cfg.workers,
     )
-    csv_path = os.path.join(out, "window_sweep.csv")
-
-    def write(fh) -> None:
-        fh.write("window_ns,coincidences,coincidence_rate_hz,eta_h,g2_si,g2_si_err\n")
-        for point in points:
-            fh.write(
-                f"{_fmt(point.window_ps / 1000)},{point.coincidence_count},"
-                f"{_fmt(point.coincidence_rate_hz)},{_fmt(point.heralding_efficiency)},"
-                f"{_fmt(point.g2 / cfg.g2_divisor)},{_fmt(point.g2_uncertainty / cfg.g2_divisor)}\n"
-            )
-
-    _atomic_write(csv_path, write)
-    lines = _provenance(cfg, args)
-    lines += [
-        ("duration_s", duration_s),
-        ("points", len(points)),
-        ("g2_divisor", cfg.g2_divisor),
-        ("sweep", csv_path),
+    rows = [
+        (p.window_ps / 1000, p.coincidence_count, p.coincidence_rate_hz, p.heralding_efficiency,
+         p.g2 / cfg.g2_divisor, p.g2_uncertainty / cfg.g2_divisor)
+        for p in points
     ]
-    _emit(lines)
-    return 0
+    columns = "window_ns,coincidences,coincidence_rate_hz,eta_h,g2_si,g2_si_err"
+    path = save("window_sweep.csv", _csv(columns, rows))
+    return [("points", len(points)), ("g2_divisor", cfg.g2_divisor), ("sweep", path)]
 
 
-def cmd_cavity(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
+def cmd_cavity(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
+    """escape efficiency from cavity losses and from heralding"""
     solution = cavity_solve(
-        cfg.finesse,
-        cfg.r_hr,
-        cfg.r_oc,
-        sigma_finesse=cfg.finesse_err,
-        sigma_r_oc=cfg.r_oc_err,
-        n_hr=cfg.n_hr,
+        cfg.finesse, cfg.r_hr, cfg.r_oc,
+        sigma_finesse=cfg.finesse_err, sigma_r_oc=cfg.r_oc_err, n_hr=cfg.n_hr,
     )
     # independent estimate from the measured heralding efficiency; the
     # uncorrelated-background fraction bounds it from above
-    herald_low = escape_from_heralding(
-        cfg.heralding_efficiency, cfg.heralding_transmission, 0.0
-    )
+    herald_low = escape_from_heralding(cfg.heralding_efficiency, cfg.heralding_transmission, 0.0)
     herald_high = escape_from_heralding(
         cfg.heralding_efficiency, cfg.heralding_transmission, cfg.uncorrelated_fraction
     )
-    lines = _provenance(cfg, args)
-    lines += [
+    return [
         ("finesse", solution.finesse),
         ("rho", solution.rho),
         ("internal_loss", solution.internal_loss),
@@ -488,118 +408,102 @@ def cmd_cavity(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         ("escape_from_heralding_low", herald_low),
         ("escape_from_heralding_high", herald_high),
     ]
-    _emit(lines, os.path.join(out, "cavity.txt"))
-    return 0
 
 
-def cmd_report(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-
+def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
+    """full summary across all measurement arrangements"""
     # cross-correlation acquisition (full signal arm on detector A)
     stream_x = simulate_source(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed)
-    hist_x, fit_x, g2_x, g2_x_zero, g2_x_zero_err = _xcorr_analysis(cfg, stream_x)
-    _atomic_write(
-        os.path.join(out, "cross_correlation.csv"),
-        lambda fh: write_histogram_csv(hist_x, fh),
-    )
+    si = xcorr(cfg, stream_x)
+    save("cross_correlation.csv", partial(write_histogram_csv, si.hist))
 
     # signal autocorrelation + heralded acquisition (signal arm split 50/50)
     stream_s = simulate_source(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
-    hist_s, fit_s, g2_s = _autocorr_analysis(cfg, stream_s, cfg.signal_channel, cfg.partner_channel)
-    _atomic_write(
-        os.path.join(out, "auto_correlation_signal.csv"),
-        lambda fh: write_histogram_csv(hist_s, fh),
-    )
-    heralded = heralded_autocorrelation(
-        stream_s,
-        cfg.herald_channel,
-        cfg.signal_channel,
-        cfg.partner_channel,
-        cfg.window_ps,
-        n_max=cfg.n_max,
-    )
-    _atomic_write(
-        os.path.join(out, "heralded_orders.csv"),
-        lambda fh: write_fasel_csv(heralded.histogram, fh),
-    )
+    ss = autocorr(cfg, stream_s)
+    save("auto_correlation_signal.csv", partial(write_histogram_csv, ss.hist))
+    iss = heralded(cfg, stream_s)
+    save("heralded_orders.csv", partial(write_fasel_csv, iss.histogram))
 
-    # idler autocorrelation runs in its own role-swapped arrangement
-    cfg_ii = replace(
-        preset_config("idler-autocorr"), duration_s=cfg.duration_s, seed=cfg.seed + 2
-    )
+    # idler autocorrelation: the user's config with the arms swapped
+    cfg_ii = replace(cfg, **PRESETS["idler-autocorr"], seed=cfg.seed + 2)
     stream_i = simulate_source(cfg_ii.make_source(), cfg_ii.duration_s, cfg_ii.seed)
-    hist_i, fit_i, g2_i = _autocorr_analysis(cfg_ii, stream_i, cfg_ii.signal_channel, cfg_ii.partner_channel)
-    _atomic_write(
-        os.path.join(out, "auto_correlation_idler.csv"),
-        lambda fh: write_histogram_csv(hist_i, fh),
-    )
+    ii = autocorr(cfg_ii, stream_i)
+    save("auto_correlation_idler.csv", partial(write_histogram_csv, ii.hist))
 
-    g2_ss_zero = fit_s.g2_zero()
-    g2_ii_zero = fit_i.g2_zero()
     r_window = cauchy_schwarz(
-        g2_x.value, g2_s.value, g2_i.value,
-        g2_x.uncertainty, g2_s.uncertainty, g2_i.uncertainty,
+        si.g2.value, ss.g2.value, ii.g2.value,
+        si.g2.uncertainty, ss.g2.uncertainty, ii.g2.uncertainty,
     )
-    r_zero = cauchy_schwarz(
-        g2_x_zero, g2_ss_zero, g2_ii_zero,
-        g2_x_zero_err, fit_s.error("contrast"), fit_i.error("contrast"),
-    )
-    iss_zero_model = conditioned_from_unconditioned(g2_ss_zero, g2_ii_zero, g2_x_zero)
-
-    lines = _provenance(cfg, args)
-    lines += [
+    r_zero = cauchy_schwarz(si.zero, ss.zero, ii.zero, si.zero_err, ss.zero_err, ii.zero_err)
+    return [
         ("duration_s", cfg.duration_s),
         ("window_ns", cfg.window_ns),
-        ("g2_si_window", g2_x.value),
-        ("g2_si_window_err", g2_x.uncertainty),
-        ("g2_si_zero", g2_x_zero),
-        ("g2_si_zero_err", g2_x_zero_err),
-        ("g2_ss_window", g2_s.value),
-        ("g2_ss_window_err", g2_s.uncertainty),
-        ("g2_ss_zero", g2_ss_zero),
-        ("g2_ss_zero_err", fit_s.error("contrast")),
-        ("g2_ii_window", g2_i.value),
-        ("g2_ii_window_err", g2_i.uncertainty),
-        ("g2_ii_zero", g2_ii_zero),
-        ("g2_ii_zero_err", fit_i.error("contrast")),
+        *_g2_lines(si, "g2_si_window", "g2_si_zero"),
+        *_g2_lines(ss, "g2_ss_window", "g2_ss_zero"),
+        *_g2_lines(ii, "g2_ii_window", "g2_ii_zero"),
         ("r_window", r_window[0]),
         ("r_window_err", r_window[1]),
         ("r_zero", r_zero[0]),
         ("r_zero_err", r_zero[1]),
-        ("g2_iss_window", heralded.value),
-        ("g2_iss_window_err", heralded.uncertainty),
-        ("g2_iss_zero_model", iss_zero_model),
+        ("g2_iss_window", iss.value),
+        ("g2_iss_window_err", iss.uncertainty),
+        ("g2_iss_zero_model", conditioned_from_unconditioned(ss.zero, ii.zero, si.zero)),
     ]
-    summary = "\n".join(f"{key} = {_fmt(value)}" for key, value in lines)
-    summary += "\n\n# full configuration\n" + config_text(cfg)
-    sys.stdout.write(summary if summary.endswith("\n") else summary + "\n")
-    _atomic_write_text(os.path.join(out, "summary.txt"), summary)
-    return 0
+
+
+# -- the command skeleton ---------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    """A subcommand; the docstring of ``run`` is its help text."""
+
+    run: Callable[[ExperimentConfig, TagStream | None, Save], Lines]
+    stream: bool = True  # run gets a simulated stream, or the --tags file if accepted
+    tags: bool = True  # accepts --tags
+    summary: str | None = None  # file that also gets the summary lines
+    embeds_config: bool = False  # the summary ends with the full configuration
 
 
 _COMMANDS = {
-    "simulate": (cmd_simulate, False),
-    "xcorr": (cmd_xcorr, True),
-    "autocorr": (cmd_autocorr, True),
-    "heralded": (cmd_heralded, True),
-    "metrics": (cmd_metrics, True),
-    "sweep-power": (cmd_sweep_power, False),
-    "sweep-window": (cmd_sweep_window, True),
-    "cavity": (cmd_cavity, False),
-    "report": (cmd_report, False),
+    "simulate": _Command(cmd_simulate, tags=False),
+    "xcorr": _Command(cmd_xcorr, summary="xcorr_summary.txt"),
+    "autocorr": _Command(cmd_autocorr, summary="autocorr_summary.txt"),
+    "heralded": _Command(cmd_heralded, summary="heralded_summary.txt"),
+    "metrics": _Command(cmd_metrics, summary="metrics.txt"),
+    "sweep-power": _Command(cmd_sweep_power, stream=False),
+    "sweep-window": _Command(cmd_sweep_window),
+    "cavity": _Command(cmd_cavity, stream=False, summary="cavity.txt"),
+    "report": _Command(cmd_report, stream=False, summary="summary.txt", embeds_config=True),
 }
 
-_HELP = {
-    "simulate": "generate a tag stream and write it to a binary tag file",
-    "xcorr": "signal-idler cross-correlation histogram, peak fit and g2",
-    "autocorr": "splitter autocorrelation histogram, fit and windowed g2",
-    "heralded": "conditioned autocorrelation of the heralded arm",
-    "metrics": "coincidence counts, heralding efficiency and rate budget",
-    "sweep-power": "repeat the correlation measurements across pump powers",
-    "sweep-window": "coincidence rate, efficiency and g2 versus window width",
-    "cavity": "escape efficiency from cavity losses and from heralding",
-    "report": "full summary across all measurement arrangements",
-}
+
+def _run(command: _Command, cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    out = args.out or cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+
+    def save(name: str, write: Callable[[str], object]) -> str:
+        path = os.path.join(out, name)
+        _write_atomic(path, write)
+        return path
+
+    lines: Lines = [("config", args.config or args.preset), ("seed", cfg.seed)]
+    stream = None
+    if command.stream:
+        if getattr(args, "tags", None):
+            stream = read_tags(args.tags)
+            duration_s = stream.span_ps * 1e-12
+        else:
+            stream = simulate_source(cfg.make_source(), cfg.duration_s, cfg.seed)
+            duration_s = cfg.duration_s
+        lines.append(("duration_s", duration_s))
+    lines += command.run(cfg, stream, save)
+    text = "\n".join(f"{key} = {_fmt(value)}" for key, value in lines) + "\n"
+    if command.embeds_config:
+        text += "\n# full configuration\n" + config_text(cfg)
+    sys.stdout.write(text)
+    if command.summary is not None:
+        save(command.summary, _text(text))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate and analyze a cavity-enhanced photon-pair source",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (func, accepts_tags) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=_HELP[name])
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.run.__doc__)
         sub.add_argument("--config", help="config file (overrides --preset)")
         sub.add_argument(
             "--preset",
@@ -619,28 +523,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--seed", type=int, help="override the config seed")
         sub.add_argument("--out", help="output directory (default: config out_dir)")
-        if accepts_tags:
+        if command.stream and command.tags:
             sub.add_argument("--tags", help="analyze an existing tag file instead of simulating")
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        return _run(_COMMANDS[args.command], _resolve_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (AnalysisError, ModelError, TagStreamError, FormatError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (AnalysisError, ModelError, TagStreamError, FormatError, OSError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,6 +12,7 @@ to the SI units used by the simulator.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields, replace
 
 from .models import DetectorSpec
@@ -20,6 +21,7 @@ from .simulator import GateSpec, SourceParams
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "PRESETS",
     "PRESET_NAMES",
     "config_text",
     "load_config",
@@ -30,14 +32,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Raised for unparseable or inconsistent configuration input."""
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _int(text: str) -> int:
-    return int(text)
 
 
 def _bool(text: str) -> bool:
@@ -56,83 +50,23 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _str(text: str) -> str:
-    return text.strip()
-
-
-# (section, key) -> converter; key doubles as the ExperimentConfig field name.
-_SCHEMA: dict[str, dict[str, object]] = {
-    "source": {
-        "pump_mw": _float,
-        "creation_prob_per_mw": _float,
-        "reference_window_ns": _float,
-        "signal_linewidth_mhz": _float,
-        "idler_linewidth_mhz": _float,
-        "fsr_mhz": _float,
-        "mode_weights": _floats,
-        "escape_s": _float,
-        "escape_i": _float,
-        "transmission_s": _float,
-        "transmission_i": _float,
-        "idler_filter_transmission": _float,
-        "idler_filter_extinction": _float,
-        "splitter_ratio": _float,
-        "coherence_slot_ns": _float,
-        "detector_a_efficiency": _float,
-        "detector_a_dark_hz": _float,
-        "detector_a_dead_ns": _float,
-        "detector_b_efficiency": _float,
-        "detector_b_dark_hz": _float,
-        "detector_b_dead_ns": _float,
-        "detector_i_efficiency": _float,
-        "detector_i_dark_hz": _float,
-        "detector_i_dead_ns": _float,
-        "gate_period_ns": _float,
-        "gate_duty": _float,
-        "gate_phase_ns": _float,
-        "gate_darks": _bool,
-        "pair_correlations": _bool,
-    },
-    "analysis": {
-        "bin_ns": _float,
-        "tau_range_ns": _float,
-        "window_ns": _float,
-        "floor_min_ns": _float,
-        "floor_max_ns": _float,
-        "herald_channel": _int,
-        "signal_channel": _int,
-        "partner_channel": _int,
-        "n_max": _int,
-        "workers": _int,
-        "budget_escape_s": _float,
-        "budget_escape_i": _float,
-    },
-    "sweep": {
-        "powers_mw": _floats,
-        "windows_ns": _floats,
-        "point_duration_s": _float,
-        "g2_divisor": _float,
-    },
-    "cavity": {
-        "finesse": _float,
-        "finesse_err": _float,
-        "r_hr": _float,
-        "r_oc": _float,
-        "r_oc_err": _float,
-        "n_hr": _int,
-        "heralding_efficiency": _float,
-        "heralding_transmission": _float,
-        "uncorrelated_fraction": _float,
-    },
-    "run": {
-        "duration_s": _float,
-        "seed": _int,
-        "out_dir": _str,
-    },
+# field annotation -> converter for the config-file value
+_CONVERTERS = {
+    "float": float,
+    "int": int,
+    "bool": _bool,
+    "tuple[float, ...]": _floats,
+    "str": str.strip,
 }
 
-_FIELD_SECTION = {
-    key: section for section, keys in _SCHEMA.items() for key in keys
+# first field of each section; a field belongs to the section that last began
+# before it, so the dataclass field order is the file layout
+_SECTION_STARTS = {
+    "pump_mw": "source",
+    "bin_ns": "analysis",
+    "powers_mw": "sweep",
+    "finesse": "cavity",
+    "duration_s": "run",
 }
 
 
@@ -235,6 +169,24 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
+        try:
+            self.make_source()
+        except ValueError as exc:  # ModelError, or GateSpec's ValueError
+            raise ConfigError(f"bad value for {self._faulty_source_key()}: {exc}") from None
+
+    def _faulty_source_key(self) -> str:
+        """Name the last [source] key whose default value alone makes the
+        simulator inputs valid again. Searching from the end blames a gate
+        value before the ``gate_period_ns`` that switches the gate on."""
+        for key in reversed(_SECTIONS["source"]):
+            trial = copy.copy(self)
+            object.__setattr__(trial, key, getattr(ExperimentConfig, key))
+            try:
+                trial.make_source()
+            except ValueError:
+                continue
+            return repr(key)
+        return "[source] keys"
 
     def make_source(self, **overrides: object) -> SourceParams:
         """Build simulator parameters, optionally overriding any SourceParams
@@ -262,25 +214,16 @@ class ExperimentConfig:
             idler_filter_extinction=self.idler_filter_extinction,
             splitter_ratio=self.splitter_ratio,
             coherence_slot_s=self.coherence_slot_ns * 1e-9,
-            detector_a=DetectorSpec(
-                self.detector_a_efficiency,
-                self.detector_a_dark_hz,
-                self.detector_a_dead_ns * 1e-9,
-            ),
-            detector_b=DetectorSpec(
-                self.detector_b_efficiency,
-                self.detector_b_dark_hz,
-                self.detector_b_dead_ns * 1e-9,
-            ),
-            detector_i=DetectorSpec(
-                self.detector_i_efficiency,
-                self.detector_i_dark_hz,
-                self.detector_i_dead_ns * 1e-9,
-            ),
             gate=gate,
             gate_darks=self.gate_darks,
             pair_correlations=self.pair_correlations,
         )
+        for name in ("detector_a", "detector_b", "detector_i"):
+            kwargs[name] = DetectorSpec(
+                getattr(self, name + "_efficiency"),
+                getattr(self, name + "_dark_hz"),
+                getattr(self, name + "_dead_ns") * 1e-9,
+            )
         kwargs.update(overrides)
         return SourceParams(**kwargs)
 
@@ -307,13 +250,26 @@ class ExperimentConfig:
         )
 
 
+def _sections() -> dict[str, dict[str, object]]:
+    """Config-file section -> {key: converter}, both in field order."""
+    sections: dict[str, dict[str, object]] = {}
+    section = None
+    for f in fields(ExperimentConfig):
+        section = _SECTION_STARTS.get(f.name, section)
+        sections.setdefault(section, {})[f.name] = _CONVERTERS[f.type]
+    return sections
+
+
+_SECTIONS = _sections()
+
+
 # Measurement arrangements used throughout: the cross-correlation setup sends
 # the whole signal arm to detector A; autocorrelations split it 50/50; the
 # idler autocorrelation swaps the roles of the two wavelengths (the splitter
 # and both "signal" detectors then live on the idler arm) and runs at the
 # pump power used for that measurement. The power-sweep arrangement keeps the
 # idler detectors ungated, so their average dark rate applies.
-_PRESETS: dict[str, dict[str, object]] = {
+PRESETS: dict[str, dict[str, object]] = {
     "reference": {},
     "signal-autocorr": {"splitter_ratio": 0.5},
     "idler-autocorr": {
@@ -338,13 +294,13 @@ _PRESETS: dict[str, dict[str, object]] = {
     "power-sweep": {"detector_i_dark_hz": 105.0},
 }
 
-PRESET_NAMES = tuple(_PRESETS)
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_config(name: str) -> ExperimentConfig:
     """Return one of the built-in measurement arrangements by name."""
     try:
-        overrides = _PRESETS[name]
+        overrides = PRESETS[name]
     except KeyError:
         known = ", ".join(PRESET_NAMES)
         raise ConfigError(f"unknown preset {name!r} (known: {known})") from None
@@ -368,8 +324,8 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
-                known = ", ".join(sorted(_SCHEMA))
+            if section not in _SECTIONS:
+                known = ", ".join(sorted(_SECTIONS))
                 raise ConfigError(f"line {lineno}: unknown section [{section}] (known: {known})")
             continue
         if "=" not in line:
@@ -384,7 +340,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
                 raise ConfigError(f"line {lineno}: preset assigned twice")
             preset_name = (lineno, value)
             continue
-        if key not in _SCHEMA[section]:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         assignments.append((lineno, section, key, value))
 
@@ -399,7 +355,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
 
     updates: dict[str, object] = {}
     for lineno, section, key, value in assignments:
-        converter = _SCHEMA[section][key]
+        converter = _SECTIONS[section][key]
         try:
             updates[key] = converter(value)  # type: ignore[operator]
         except ValueError as exc:
@@ -434,14 +390,9 @@ def _format_value(value: object) -> str:
 
 def config_text(config: ExperimentConfig) -> str:
     """Serialize a config to the file format; parses back to an equal value."""
-    by_section: dict[str, list[str]] = {name: [] for name in _SCHEMA}
-    for field in fields(config):
-        section = _FIELD_SECTION[field.name]
-        value = getattr(config, field.name)
-        by_section[section].append(f"{field.name} = {_format_value(value)}")
     chunks = []
-    for name, entries in by_section.items():
-        chunks.append(f"[{name}]")
-        chunks.extend(entries)
+    for section, keys in _SECTIONS.items():
+        chunks.append(f"[{section}]")
+        chunks.extend(f"{key} = {_format_value(getattr(config, key))}" for key in keys)
         chunks.append("")
     return "\n".join(chunks)

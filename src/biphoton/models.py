@@ -89,24 +89,6 @@ def window_correction(tau_c_s: float, dtau_s: float) -> float:
     return -math.expm1(-x) / x
 
 
-def two_sided_window_factor(dnu_s_hz: float, dnu_i_hz: float, dtau_s: float) -> float:
-    """Same ratio as :func:`window_correction` but for the exact two-sided
-    exponential peak (decay constants 1/(2 pi dnu) per side) integrated over a
-    window centered on the peak.
-    """
-    if dtau_s < 0:
-        raise ModelError("window must be non-negative")
-    if dtau_s == 0.0:
-        return 1.0
-    tau_s = 1.0 / (2.0 * math.pi * dnu_s_hz)
-    tau_i = 1.0 / (2.0 * math.pi * dnu_i_hz)
-    w = 0.5 * dtau_s
-    # unnormalized window integral of exp(-|tau|/tau_side); the normalized
-    # peak density is 1/(tau_s + tau_i), so the ratio collapses to mass/dtau
-    mass = -(tau_s * math.expm1(-w / tau_s) + tau_i * math.expm1(-w / tau_i))
-    return mass / dtau_s
-
-
 def two_sided_capture(dnu_s_hz: float, dnu_i_hz: float, dtau_s: float) -> float:
     """Fraction of a two-sided exponential coincidence peak captured by a
     window of width ``dtau_s`` centered on the peak."""
@@ -115,20 +97,6 @@ def two_sided_capture(dnu_s_hz: float, dnu_i_hz: float, dtau_s: float) -> float:
     w = 0.5 * dtau_s
     mass = -(tau_s * math.expm1(-w / tau_s) + tau_i * math.expm1(-w / tau_i))
     return mass / (tau_s + tau_i)
-
-
-def two_sided_peak_factor(dnu_s_hz: float, dnu_i_hz: float, dtau_s: float) -> float:
-    """Ratio of the peak coincidence density to the window-averaged accidental
-    density for a two-sided exponential peak.
-
-    Multiplying a window-integrated excess (g2 - 1 measured over ``dtau_s``) by
-    this factor converts it to the zero-delay excess.
-    """
-    if dtau_s <= 0:
-        raise ModelError("window must be positive")
-    tau_s = 1.0 / (2.0 * math.pi * dnu_s_hz)
-    tau_i = 1.0 / (2.0 * math.pi * dnu_i_hz)
-    return dtau_s / (tau_s + tau_i)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +110,6 @@ def multimode_bunching(n_modes: float) -> float:
     if n_modes < 1:
         raise ModelError(f"mode number must be >= 1, got {n_modes}")
     return 1.0 + 1.0 / n_modes
-
-
-def noise_bunching(s_a: float, b_a: float, s_b: float, b_b: float) -> float:
-    """Upper limit of a measured thermal bunching peak when each detector sees
-    signal rate S and uncorrelated background rate B:
-    1 + S_A S_B / ((S_A + B_A)(S_B + B_B)).
-    """
-    if min(s_a, b_a, s_b, b_b) < 0:
-        raise ModelError("rates must be non-negative")
-    n_a = s_a + b_a
-    n_b = s_b + b_b
-    if n_a == 0 or n_b == 0:
-        raise ModelError("total rate on each detector must be positive")
-    return 1.0 + (s_a * s_b) / (n_a * n_b)
 
 
 def heralding_efficiency(p_si: float, p_i: float, eta_det_s: float) -> float:
@@ -275,7 +229,6 @@ def g2_power_model(
     *,
     singles_scale_s: float = 1.0,
     singles_scale_i: float = 1.0,
-    average_darks: bool = False,
 ) -> float:
     """Cross-correlation vs pump power for a probabilistic pair source with
     detector noise.
@@ -283,18 +236,14 @@ def g2_power_model(
     Per coincidence window: q_si = p P eta_s eta_i, q_s = p P eta_s * scale_s
     + d_s, q_i likewise, and g2 = 1 + q_si / (q_s q_i), scaled onto a finite
     window by ``window_factor`` (1.0 means the zero-delay value; pass e.g.
-    :func:`window_correction` or :func:`two_sided_window_factor` output).
+    :func:`window_correction` output).
 
-    ``average_darks`` replaces both dark probabilities by their mean, a
-    modeling variant used for datasets taken with two different noisy
-    detectors.  ``singles_scale_s/i`` let the accidental terms include singles
-    that do not come from the heralded mode (side modes of a mode cluster).
-    With zero darks and unit scales the peak reduces to 1 + 1/(pP).
+    ``singles_scale_s/i`` let the accidental terms include singles that do not
+    come from the heralded mode (side modes of a mode cluster). With zero darks
+    and unit scales the peak reduces to 1 + 1/(pP).
     """
     if pump_mw < 0 or creation_prob_per_mw < 0:
         raise ModelError("pump power and creation probability must be non-negative")
-    if average_darks:
-        dark_prob_s = dark_prob_i = 0.5 * (dark_prob_s + dark_prob_i)
     q_pair = creation_prob_per_mw * pump_mw
     q_si = q_pair * eta_s * eta_i
     q_s = q_pair * eta_s * singles_scale_s + dark_prob_s
@@ -307,23 +256,6 @@ def g2_power_model(
 # ---------------------------------------------------------------------------
 # cavity losses and escape efficiency
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CavityParams:
-    """Measured cavity description: finesse plus mirror reflectivities."""
-
-    finesse: float
-    r_hr: float
-    r_oc: float
-    fsr_hz: float = 423e6
-
-    def solve(
-        self, sigma_finesse: float = 0.0, sigma_r_oc: float = 0.0, n_hr: int = 3
-    ) -> "CavitySolution":
-        return cavity_solve(
-            self.finesse, self.r_hr, self.r_oc, sigma_finesse, sigma_r_oc, n_hr
-        )
 
 
 @dataclass(frozen=True)

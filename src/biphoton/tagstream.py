@@ -27,10 +27,11 @@ no channel-label table, so labels are restored by the conventional mapping
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,8 @@ DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
 # u64 picoseconds overflow after ~213 days; enforced when writing
 MAX_TIME = 2**64 - 1
+# streams hold int64 times, so the reader rejects anything above this
+INT64_MAX = 2**63 - 1
 
 
 class TagStreamError(ValueError):
@@ -152,10 +155,6 @@ class TagStream:
     def __len__(self) -> int:
         return self._times.size
 
-    def __iter__(self) -> Iterator[TimeTag]:
-        for t, c, f in zip(self._times, self._channels, self._flags):
-            yield TimeTag(int(t), int(c), int(f))
-
     def __getitem__(self, i: int) -> TimeTag:
         return TimeTag(int(self._times[i]), int(self._channels[i]), int(self._flags[i]))
 
@@ -209,14 +208,6 @@ class TagStream:
 
     def count(self, channel: int) -> int:
         return int(np.count_nonzero(self._channels == channel))
-
-    @classmethod
-    def from_tags(cls, tags: Iterable[TimeTag], resolution_ps: int = 1, channel_labels=None) -> "TagStream":
-        rows = list(tags)
-        times = [t[0] for t in rows]
-        chans = [t[1] for t in rows]
-        flags = [t[2] if len(t) > 2 else 0 for t in rows]
-        return cls(times, chans, flags, resolution_ps=resolution_ps, channel_labels=channel_labels)
 
 
 def write_tags(stream: TagStream, destination) -> int:
@@ -273,8 +264,16 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         raise FormatError(f"unsupported format version {version}")
     if resolution_ps == 0:
         raise FormatError("zero resolution in header")
-    payload = _read_exact(fh, record_count * RECORD_DTYPE.itemsize, "records")
-    records = np.frombuffer(payload, dtype=RECORD_DTYPE)
+    size = record_count * RECORD_DTYPE.itemsize
+    start = fh.tell()
+    available = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if available != size:
+        raise FormatError(
+            f"header announces {record_count} records ({size} bytes), "
+            f"but {available} bytes of records follow it"
+        )
+    records = np.frombuffer(_read_exact(fh, size, "records"), dtype=RECORD_DTYPE)
     raw_times = records["time"]
     channels = records["channel"]
     if record_count:
@@ -286,6 +285,10 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         if ties.size and np.any(channels[ties] >= channels[ties + 1]):
             bad = ties[np.nonzero(channels[ties] >= channels[ties + 1])[0][0]]
             raise MonotonicityError(int(bad) + 1)
+        # the times are sorted, so the last one is the largest
+        if raw_times[-1] > INT64_MAX:
+            first = int(np.argmax(raw_times > INT64_MAX))
+            raise FormatError(f"record {first} has a timestamp above 2^63 - 1")
     return TagStream(
         raw_times.astype(np.int64),
         channels.copy(),

@@ -6,9 +6,17 @@ import io
 import numpy as np
 import pytest
 
+import biphoton.cli
 from biphoton.cli import main
 from biphoton.config import parse_config
-from biphoton.tagstream import TagStream, read_tags, write_tags
+from biphoton.tagstream import (
+    FORMAT_VERSION,
+    HEADER_STRUCT,
+    MAGIC,
+    TagStream,
+    read_tags,
+    write_tags,
+)
 
 LOSSLESS = """\
 [source]
@@ -165,6 +173,20 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body,key", [
+    ("[source]\nescape_s = 1.5\n", "escape_s"),
+    ("[source]\ndetector_a_efficiency = 1.5\n", "detector_a_efficiency"),
+    ("[source]\ngate_period_ns = 100\ngate_duty = 2\n", "gate_duty"),
+])
+def test_out_of_range_source_value_exits_2(tmp_path, capsys, body, key):
+    cfg = _write(tmp_path, "bad.cfg", body)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+    assert repr(key) in err
+
+
 def test_missing_tags_file_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", LOSSLESS)
     rc = main(["xcorr", "--config", cfg, "--tags", str(tmp_path / "absent.bin"),
@@ -180,6 +202,31 @@ def test_corrupt_tags_file_exits_3(tmp_path, capsys):
     rc = main(["xcorr", "--config", cfg, "--tags", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_tag_file_header_count_must_match_the_file_size(tmp_path, capsys):
+    bad = tmp_path / "huge.bin"
+    bad.write_bytes(HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, 0, 1, 3, 2**59))
+    cfg = _write(tmp_path, "run.cfg", LOSSLESS)
+    rc = main(["xcorr", "--config", cfg, "--tags", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error:")
+    assert err.count("\n") == 1
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, lossless_tags, monkeypatch):
+    cfg, tags = lossless_tags
+
+    def failing_writer(hist, path):
+        with open(path, "w") as fh:
+            fh.write("delay_ns,counts,normalized\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(biphoton.cli, "write_histogram_csv", failing_writer)
+    out = tmp_path / "x"
+    assert main(["xcorr", "--config", cfg, "--tags", tags, "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_preset_is_a_usage_error(capsys):
@@ -256,3 +303,15 @@ def test_report_is_deterministic_and_self_describing(tmp_path):
 
     orders = _rows(out1 / "heralded_orders.csv")
     assert [int(r["n"]) for r in orders] == list(range(-15, 16))
+
+
+def test_report_uses_the_users_analysis_keys(tmp_path):
+    cfg = _write(
+        tmp_path, "rep.cfg",
+        "[analysis]\nwindow_ns = 100\nbin_ns = 10\n[run]\nduration_s = 60.0\nseed = 7\n",
+    )
+    out = tmp_path / "r"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("auto_correlation_signal.csv", "auto_correlation_idler.csv"):
+        delays = [float(r["delay_ns"]) for r in _rows(out / name)]
+        assert np.allclose(np.diff(delays), 10.0), name

@@ -88,9 +88,8 @@ def test_make_source_accepts_overrides():
 
 
 def test_make_source_propagates_model_validation():
-    cfg = ExperimentConfig(splitter_ratio=1.5)
     with pytest.raises(ModelError):
-        cfg.make_source()
+        ExperimentConfig().make_source(splitter_ratio=1.5)
 
 
 def test_analysis_unit_properties():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from biphoton.models import (
-    CavityParams,
     DetectorSpec,
     ModelError,
     biphoton_from_linewidths,
@@ -21,11 +20,8 @@ from biphoton.models import (
     heralding_efficiency,
     lorentzian_autocorrelation,
     multimode_bunching,
-    noise_bunching,
     rate_budget,
     two_sided_capture,
-    two_sided_peak_factor,
-    two_sided_window_factor,
     window_correction,
 )
 
@@ -71,37 +67,9 @@ def test_window_correction_limits_and_monotonicity():
 
 
 def test_two_sided_factors_frozen():
-    assert two_sided_window_factor(3.7e6, 2.3e6, 400e-9) == pytest.approx(
-        0.2698911149201612, rel=EXACT
-    )
     assert two_sided_capture(3.7e6, 2.3e6, 400e-9) == pytest.approx(
         0.9620701870145184, rel=EXACT
     )
-    assert two_sided_peak_factor(3.7e6, 2.3e6, 400e-9) == pytest.approx(
-        3.5646604642732185, rel=EXACT
-    )
-
-
-def test_capture_factorizes_into_window_and_peak_terms():
-    """capture = window_factor * peak_factor for any linewidths and window."""
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        dnu_s = 10 ** rng.uniform(5.0, 7.5)
-        dnu_i = 10 ** rng.uniform(5.0, 7.5)
-        dtau = 10 ** rng.uniform(-9.0, -5.0)
-        left = two_sided_capture(dnu_s, dnu_i, dtau)
-        right = two_sided_window_factor(dnu_s, dnu_i, dtau) * two_sided_peak_factor(
-            dnu_s, dnu_i, dtau
-        )
-        assert left == pytest.approx(right, rel=1e-12)
-
-
-def test_two_sided_window_factor_edge_cases():
-    assert two_sided_window_factor(3.7e6, 2.3e6, 0.0) == 1.0
-    with pytest.raises(ModelError):
-        two_sided_window_factor(3.7e6, 2.3e6, -1e-9)
-    with pytest.raises(ModelError):
-        two_sided_peak_factor(3.7e6, 2.3e6, 0.0)
 
 
 def test_lorentzian_autocorrelation_matches_quadrature():
@@ -139,19 +107,6 @@ def test_multimode_bunching_values_and_limits():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ModelError):
         multimode_bunching(0.5)
-
-
-def test_noise_bunching_bounds_and_monotonicity():
-    assert noise_bunching(100.0, 0.0, 100.0, 0.0) == 2.0
-    values = [noise_bunching(100.0, b, 100.0, b) for b in (0.0, 10.0, 100.0, 1e4)]
-    assert all(1.0 <= v <= 2.0 for v in values)
-    assert all(a > b for a, b in zip(values, values[1:]))
-    # symmetric in the two detectors
-    assert noise_bunching(80.0, 20.0, 50.0, 5.0) == noise_bunching(50.0, 5.0, 80.0, 20.0)
-    with pytest.raises(ModelError):
-        noise_bunching(-1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ModelError):
-        noise_bunching(0.0, 0.0, 1.0, 1.0)
 
 
 def test_heralding_efficiency_divides_out_detector():
@@ -246,12 +201,6 @@ def test_g2_power_model_darks_and_scales_lower_the_peak():
     assert windowed - 1.0 == pytest.approx(0.27 * (base - 1.0), rel=1e-12)
 
 
-def test_g2_power_model_average_darks():
-    merged = g2_power_model(2.71e-3, 1.0, 0.19, 0.026, 2e-5, 4e-5, average_darks=True)
-    explicit = g2_power_model(2.71e-3, 1.0, 0.19, 0.026, 3e-5, 3e-5)
-    assert merged == explicit
-
-
 def test_g2_power_model_validation():
     with pytest.raises(ModelError):
         g2_power_model(2.71e-3, -1.0, 0.1, 0.1)
@@ -285,12 +234,6 @@ def test_cavity_solve_roundtrip():
     for finesse in (40.0, 114.0, 200.0):
         sol = cavity_solve(finesse, 0.9999, 0.970)
         assert finesse_from_rho(sol.rho) == pytest.approx(finesse, rel=EXACT)
-
-
-def test_cavity_params_wrapper_matches_solver():
-    direct = cavity_solve(114.0, 0.9999, 0.970, sigma_r_oc=0.007)
-    wrapped = CavityParams(114.0, 0.9999, 0.970).solve(sigma_r_oc=0.007)
-    assert wrapped == direct
 
 
 def test_escape_from_losses():

@@ -123,6 +123,12 @@ def test_read_rejects_truncated_records():
         read_tags(io.BytesIO(data[:-7]))
 
 
+def test_read_rejects_timestamps_beyond_int64():
+    payload = _records([(100, 0), (2**63, 1)])
+    with pytest.raises(FormatError, match="record 1"):
+        read_tags(io.BytesIO(_header(records=2) + payload))
+
+
 def _records(rows):
     arr = np.zeros(len(rows), dtype=RECORD_DTYPE)
     for i, (t, c) in enumerate(rows):
@@ -195,9 +201,10 @@ def test_constructor_accepts_tied_times_in_channel_order():
 
 
 def test_from_tags_and_accessors():
-    tags = [TimeTag(5, 0), TimeTag(9, 2), (9, 3), (14, 0, 1)]
-    stream = TagStream.from_tags(tags)
+    stream = TagStream([5, 9, 9, 14], [0, 2, 3, 0], [0, 0, 0, 1])
     assert len(stream) == 4
+    assert stream[1] == TimeTag(9, 2)
+    assert list(stream)[-1] == TimeTag(14, 0, 1)
     assert stream.count(0) == 2
     assert stream.count(7) == 0
     assert list(stream.channel_times(0)) == [5, 14]
