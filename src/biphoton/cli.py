@@ -415,26 +415,28 @@ def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     # cross-correlation acquisition (full signal arm on detector A)
     stream_x = simulate_source(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed)
     si = xcorr(cfg, stream_x)
-    save("cross_correlation.csv", partial(write_histogram_csv, si.hist))
 
     # signal autocorrelation + heralded acquisition (signal arm split 50/50)
     stream_s = simulate_source(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
     ss = autocorr(cfg, stream_s)
-    save("auto_correlation_signal.csv", partial(write_histogram_csv, ss.hist))
     iss = heralded(cfg, stream_s)
-    save("heralded_orders.csv", partial(write_fasel_csv, iss.histogram))
 
     # idler autocorrelation: the user's config with the arms swapped
     cfg_ii = replace(cfg, **PRESETS["idler-autocorr"], seed=cfg.seed + 2)
     stream_i = simulate_source(cfg_ii.make_source(), cfg_ii.duration_s, cfg_ii.seed)
     ii = autocorr(cfg_ii, stream_i)
-    save("auto_correlation_idler.csv", partial(write_histogram_csv, ii.hist))
 
     r_window = cauchy_schwarz(
         si.g2.value, ss.g2.value, ii.g2.value,
         si.g2.uncertainty, ss.g2.uncertainty, ii.g2.uncertainty,
     )
     r_zero = cauchy_schwarz(si.zero, ss.zero, ii.zero, si.zero_err, ss.zero_err, ii.zero_err)
+    g2_iss_zero_model = conditioned_from_unconditioned(ss.zero, ii.zero, si.zero)
+    # written only once every estimate stands, so a failed report leaves no files
+    save("cross_correlation.csv", partial(write_histogram_csv, si.hist))
+    save("auto_correlation_signal.csv", partial(write_histogram_csv, ss.hist))
+    save("heralded_orders.csv", partial(write_fasel_csv, iss.histogram))
+    save("auto_correlation_idler.csv", partial(write_histogram_csv, ii.hist))
     return [
         ("duration_s", cfg.duration_s),
         ("window_ns", cfg.window_ns),
@@ -447,7 +449,7 @@ def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         ("r_zero_err", r_zero[1]),
         ("g2_iss_window", iss.value),
         ("g2_iss_window_err", iss.uncertainty),
-        ("g2_iss_zero_model", conditioned_from_unconditioned(ss.zero, ii.zero, si.zero)),
+        ("g2_iss_zero_model", g2_iss_zero_model),
     ]
 
 

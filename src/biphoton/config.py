@@ -31,7 +31,12 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Raised for unparseable or inconsistent configuration input."""
+    """Raised for unparseable or inconsistent configuration input; ``key``
+    names the config key at fault when one is known."""
+
+    def __init__(self, message: str, key: str | None = None) -> None:
+        super().__init__(message)
+        self.key = key
 
 
 def _bool(text: str) -> bool:
@@ -172,9 +177,11 @@ class ExperimentConfig:
         try:
             self.make_source()
         except ValueError as exc:  # ModelError, or GateSpec's ValueError
-            raise ConfigError(f"bad value for {self._faulty_source_key()}: {exc}") from None
+            key = self._faulty_source_key()
+            where = repr(key) if key else "[source] keys"
+            raise ConfigError(f"bad value for {where}: {exc}", key=key) from None
 
-    def _faulty_source_key(self) -> str:
+    def _faulty_source_key(self) -> str | None:
         """Name the last [source] key whose default value alone makes the
         simulator inputs valid again. Searching from the end blames a gate
         value before the ``gate_period_ns`` that switches the gate on."""
@@ -185,8 +192,8 @@ class ExperimentConfig:
                 trial.make_source()
             except ValueError:
                 continue
-            return repr(key)
-        return "[source] keys"
+            return key
+        return None
 
     def make_source(self, **overrides: object) -> SourceParams:
         """Build simulator parameters, optionally overriding any SourceParams
@@ -362,7 +369,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     try:
         return replace(config, **updates)  # type: ignore[arg-type]
-    except ConfigError:
+    except ConfigError as exc:
+        assigned = {key: lineno for lineno, _, key, _ in assignments}
+        if exc.key in assigned:
+            raise ConfigError(f"line {assigned[exc.key]}: {exc}", key=exc.key) from None
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

@@ -178,21 +178,6 @@ def cross_correlation_histogram(
     )
 
 
-def auto_correlation_histogram(
-    stream: TagStream,
-    channel_a: int,
-    channel_b: int,
-    bin_width_ps: int,
-    tau_range_ps: tuple[int, int],
-    workers: int = 1,
-) -> CorrelationHistogram:
-    """Delay histogram between the two outputs of a splitter (Hanbury Brown
-    and Twiss arrangement); identical machinery to the cross histogram."""
-    return cross_correlation_histogram(
-        stream, channel_a, channel_b, bin_width_ps, tau_range_ps, workers
-    )
-
-
 # ---------------------------------------------------------------------------
 # normalized g2 from a histogram
 # ---------------------------------------------------------------------------

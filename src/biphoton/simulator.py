@@ -20,10 +20,10 @@ smear the *shape* of autocorrelation peaks on the scale of one slot; choose
 
 Determinism
 -----------
-All randomness derives from one integer seed.  Streams are generated in
-fixed-size slot blocks with per-(segment, block, mode) derived seeds, so
-results are byte-identical regardless of how generation is chunked, and
-identical seeds give identical tag streams.
+All randomness derives from one integer seed.  Pairs come from one slot grid
+over the whole run, in fixed-size blocks with a derived seed per (mode,
+block), and each detector's darks from a seed of their own.  A gate only
+masks: it changes neither the grid nor the seeds.
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ class SourceParams:
 
     ``coherence_slot_s`` is the thermal-statistics slot; ``None`` selects
     1/(pi * biphoton bandwidth) for the configured linewidths.
+
+    ``gate`` is a periodic measurement gate.  Pairs are created only while it
+    is open (the idler emission time decides); every tag is then masked at its
+    own time, and dark counts only when ``gate_darks`` is true.  Generation
+    cost scales with the run length, not with the number of gate periods.
     """
 
     pump_mw: float = 1.0
@@ -177,27 +182,6 @@ def effective_mode_number(mode_weights) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _open_segments(gate: GateSpec | None, duration_ps: int) -> list[tuple[int, int]]:
-    """Measurement-open [start, end) intervals within [0, duration)."""
-    if gate is None:
-        return [(0, duration_ps)]
-    period = gate.period_ps
-    open_ps = gate.open_ps
-    if open_ps == 0:
-        return []
-    first = -((gate.phase_ps) // period) - 1
-    last = (duration_ps - gate.phase_ps) // period + 1
-    segments = []
-    for k in range(first, last + 1):
-        start = gate.phase_ps + k * period
-        end = start + open_ps
-        start = max(start, 0)
-        end = min(end, duration_ps)
-        if start < end:
-            segments.append((start, end))
-    return segments
-
-
 def _occupied_slots(rng: np.random.Generator, n_slots: int, q: float) -> np.ndarray:
     """Indices of slots holding at least one pair; occupancy i.i.d. with
     probability ``q``.  Sampled via geometric gaps so empty slots cost
@@ -269,50 +253,48 @@ def _generate_photons(
     )
     idler_common = params.escape_i * params.transmission_i * params.detector_i.efficiency
 
+    n_slots_run = -(-duration_ps // slot_ps)
     times = []
     channels = []
     w0 = params.mode_weights[0]
-    for seg_index, (seg_start, seg_end) in enumerate(_open_segments(params.gate, duration_ps)):
-        n_slots_seg = -((seg_start - seg_end) // slot_ps)  # ceil division
-        for mode, weight in enumerate(params.mode_weights):
-            if weight == 0.0:
+    for mode, weight in enumerate(params.mode_weights):
+        if weight == 0.0:
+            continue
+        mu = central_rate * (weight / w0) * (slot_ps / _PS_PER_S)
+        if mu <= 0.0:
+            continue
+        filt = params.idler_filter_transmission if mode == 0 else params.idler_filter_extinction
+        p_idler = idler_common * filt
+        for block in range(-(-n_slots_run // _SLOTS_PER_BLOCK)):
+            # the literal 0 fills the slot a gate-segment index had; it keeps
+            # ungated streams byte-identical to the pinned digests in the tests
+            rng = np.random.default_rng(np.random.SeedSequence((seed, salt, 0, mode, block)))
+            n_slots = min(_SLOTS_PER_BLOCK, n_slots_run - block * _SLOTS_PER_BLOCK)
+            idler, signal = _pair_block(
+                rng, block * _SLOTS_PER_BLOCK * slot_ps, n_slots, slot_ps,
+                mu, tau_fall_ps, tau_rise_ps,
+            )
+            if params.gate is not None:
+                # pairs are created only while the gate is open
+                created = params.gate.open_mask(idler)
+                idler, signal = idler[created], signal[created]
+            if idler.size == 0:
                 continue
-            mu = central_rate * (weight / w0) * (slot_ps / _PS_PER_S)
-            if mu <= 0.0:
-                continue
-            filt = params.idler_filter_transmission if mode == 0 else params.idler_filter_extinction
-            p_idler = idler_common * filt
-            for block in range(-(-n_slots_seg // _SLOTS_PER_BLOCK)):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((seed, salt, seg_index, mode, block))
-                )
-                n_slots = min(_SLOTS_PER_BLOCK, n_slots_seg - block * _SLOTS_PER_BLOCK)
-                idler, signal = _pair_block(
-                    rng,
-                    seg_start + block * _SLOTS_PER_BLOCK * slot_ps,
-                    n_slots,
-                    slot_ps,
-                    mu,
-                    tau_fall_ps,
-                    tau_rise_ps,
-                )
-                if idler.size == 0:
-                    continue
-                # thinning draws happen in a fixed order so streams are
-                # reproducible; both are drawn even when one side is dropped
-                u_idler = rng.random(idler.size)
-                u_signal = rng.random(signal.size)
-                if keep_idler and p_idler > 0.0:
-                    kept = idler[u_idler < p_idler]
-                    times.append(kept)
-                    channels.append(np.full(kept.size, CHANNEL_IDLER, dtype=np.uint8))
-                if keep_signal:
-                    to_a = signal[u_signal < eff_a]
-                    to_b = signal[(u_signal >= eff_a) & (u_signal < eff_a + eff_b)]
-                    times.append(to_a)
-                    channels.append(np.full(to_a.size, CHANNEL_SIGNAL_A, dtype=np.uint8))
-                    times.append(to_b)
-                    channels.append(np.full(to_b.size, CHANNEL_SIGNAL_B, dtype=np.uint8))
+            # thinning draws happen in a fixed order so streams are
+            # reproducible; both are drawn even when one side is dropped
+            u_idler = rng.random(idler.size)
+            u_signal = rng.random(signal.size)
+            if keep_idler and p_idler > 0.0:
+                kept = idler[u_idler < p_idler]
+                times.append(kept)
+                channels.append(np.full(kept.size, CHANNEL_IDLER, dtype=np.uint8))
+            if keep_signal:
+                to_a = signal[u_signal < eff_a]
+                to_b = signal[(u_signal >= eff_a) & (u_signal < eff_a + eff_b)]
+                times.append(to_a)
+                channels.append(np.full(to_a.size, CHANNEL_SIGNAL_A, dtype=np.uint8))
+                times.append(to_b)
+                channels.append(np.full(to_b.size, CHANNEL_SIGNAL_B, dtype=np.uint8))
     if not times:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     return np.concatenate(times), np.concatenate(channels)
@@ -321,16 +303,7 @@ def _generate_photons(
 def _generate_darks(
     params: SourceParams, duration_ps: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    if params.gate is not None and params.gate_darks:
-        segments = _open_segments(params.gate, duration_ps)
-    else:
-        segments = [(0, duration_ps)]
-    if not segments:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    starts = np.array([s for s, _ in segments], dtype=np.int64)
-    lengths = np.array([e - s for s, e in segments], dtype=np.int64)
-    edges = np.cumsum(lengths)
-    total_ps = int(edges[-1])
+    """Dark counts over the whole run; the gate, if any, masks them later."""
     times = []
     channels = []
     rates = {
@@ -342,13 +315,10 @@ def _generate_darks(
         if rate <= 0.0:
             continue
         rng = np.random.default_rng(np.random.SeedSequence((seed, _SALT_DARKS, channel)))
-        n = rng.poisson(rate * total_ps / _PS_PER_S)
+        n = rng.poisson(rate * duration_ps / _PS_PER_S)
         if n == 0:
             continue
-        offsets = rng.integers(0, total_ps, size=n, dtype=np.int64)
-        seg = np.searchsorted(edges, offsets, side="right")
-        t = starts[seg] + offsets - (edges[seg] - lengths[seg])
-        times.append(t)
+        times.append(rng.integers(0, duration_ps, size=n, dtype=np.int64))
         channels.append(np.full(n, channel, dtype=np.uint8))
     if not times:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)

@@ -18,7 +18,6 @@ import pytest
 
 from biphoton.config import preset_config
 from biphoton.correlator import (
-    auto_correlation_histogram,
     coincidence_metrics,
     cross_correlation_histogram,
     heralded_autocorrelation,
@@ -106,7 +105,7 @@ def signal_split_run():
     """1800 s with the signal arm split 50/50 for its autocorrelation."""
     cfg = preset_config("signal-autocorr")
     stream = simulate_source(cfg.make_source(), 1800.0, seed=13)
-    hist = auto_correlation_histogram(
+    hist = cross_correlation_histogram(
         stream, cfg.signal_channel, cfg.partner_channel, cfg.bin_ps, cfg.tau_range_ps
     )
     fit = fit_symmetric_exponential(hist)
@@ -120,7 +119,7 @@ def idler_split_run():
     """1800 s role-swapped acquisition for the idler autocorrelation."""
     cfg = preset_config("idler-autocorr")
     stream = simulate_source(cfg.make_source(), 1800.0, seed=14)
-    hist = auto_correlation_histogram(
+    hist = cross_correlation_histogram(
         stream, cfg.signal_channel, cfg.partner_channel, cfg.bin_ps, cfg.tau_range_ps
     )
     fit = fit_symmetric_exponential(hist)
@@ -346,7 +345,7 @@ def test_criterion_5_autocorrelation_bunching(signal_split_run):
             splitter_ratio=0.5,
         )
         s = simulate_source(params, duration, seed=100 + n_modes)
-        h = auto_correlation_histogram(s, 0, 1, 100_000, (-16_000_000, 16_000_000))
+        h = cross_correlation_histogram(s, 0, 1, 100_000, (-16_000_000, 16_000_000))
         g = normalized_g2(
             h, 200_000, center_ps=0, floor_region_ps=(7_000_000, 15_000_000)
         )
@@ -386,11 +385,11 @@ def test_criterion_6_cauchy_schwarz(xcorr_run, signal_split_run, idler_split_run
         stream, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps
     )
     g_x = normalized_g2(h_x, cfg.window_ps, center_ps=0)
-    h_ss = auto_correlation_histogram(
+    h_ss = cross_correlation_histogram(
         stream, cfg.signal_channel, cfg.partner_channel, cfg.bin_ps, cfg.tau_range_ps
     )
     g_ss = normalized_g2(h_ss, cfg.window_ps, center_ps=0)
-    h_ii = auto_correlation_histogram(
+    h_ii = cross_correlation_histogram(
         stream, cfg.herald_channel, cfg.herald_channel, cfg.bin_ps, cfg.tau_range_ps
     )
     g_ii = normalized_g2(h_ii, cfg.window_ps, center_ps=0)

@@ -185,6 +185,8 @@ def test_out_of_range_source_value_exits_2(tmp_path, capsys, body, key):
     assert err.startswith("config error:")
     assert err.count("\n") == 1
     assert repr(key) in err
+    line = body[: body.index(f"{key} =")].count("\n") + 1
+    assert f"config error: line {line}: bad value for {key!r}" in err
 
 
 def test_missing_tags_file_exits_3(tmp_path, capsys):
@@ -303,6 +305,21 @@ def test_report_is_deterministic_and_self_describing(tmp_path):
 
     orders = _rows(out1 / "heralded_orders.csv")
     assert [int(r["n"]) for r in orders] == list(range(-15, 16))
+
+
+def test_failed_report_writes_no_artifacts(tmp_path, capsys):
+    # 4 s leave no idler coincidence in a 100 ns window, so the
+    # Cauchy-Schwarz ratio cannot be formed
+    cfg = _write(
+        tmp_path, "rep.cfg",
+        "[analysis]\nwindow_ns = 100\nbin_ns = 10\n[run]\nduration_s = 4.0\nseed = 7\n",
+    )
+    out = tmp_path / "r"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error:")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_report_uses_the_users_analysis_keys(tmp_path):

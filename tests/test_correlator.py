@@ -9,7 +9,6 @@ import pytest
 from biphoton.correlator import (
     AnalysisError,
     CorrelationHistogram,
-    auto_correlation_histogram,
     coincidence_metrics,
     cross_correlation_histogram,
     heralded_autocorrelation,
@@ -88,13 +87,6 @@ def test_uncorrelated_streams_are_flat_at_the_accidental_level():
     assert abs(mean_norm - 1.0) < 0.05
     expected = hist.n_starts * hist.n_stops * hist.bin_width_ps / hist.duration_ps
     assert hist.accidental_per_bin == pytest.approx(expected, rel=1e-12)
-
-
-def test_autocorrelation_alias_matches_cross():
-    stream = _random_tag_soup(1_000, seed=52)
-    a = auto_correlation_histogram(stream, 1, 1, 10, (-1_000, 1_000))
-    b = cross_correlation_histogram(stream, 1, 1, 10, (-1_000, 1_000))
-    assert np.array_equal(a.counts, b.counts)
 
 
 def test_histogram_rejects_bad_binning_and_channels():

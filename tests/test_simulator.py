@@ -1,8 +1,12 @@
 """Statistical and structural behavior of the stochastic pair source."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from biphoton.config import preset_config
 from biphoton.correlator import cross_correlation_histogram, normalized_g2
 from biphoton.models import DetectorSpec, ModelError
 from biphoton.simulator import (
@@ -26,6 +30,28 @@ def test_simulation_is_deterministic_per_seed():
     assert np.array_equal(a.flags, b.flags)
     c = simulate_source(params, 1.0, seed=4)
     assert not np.array_equal(a.times, c.times)
+
+
+@pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", [
+    ("reference", 3, 5.0, 0.0, 28141,
+     "8820d7879ea424be91955649a84fcc8f4e4d809d8cd49c267db75e21540b3682"),
+    ("signal-autocorr", 7, 4.0, 50.0, 22471,
+     "acad7a1c8525946f7fcc2f6a19dd295b0b8116acfea7b611851999c87372718f"),
+    ("idler-autocorr", 11, 3.0, 0.0, 19858,
+     "75f3205eb7a8df8dc40d4062e473d0f75a62d268bc2e7c409b52c98e57b11fc6"),
+])
+def test_ungated_streams_are_frozen(preset, seed, duration, dead_ns, n_tags, digest):
+    """Ungated draws are pinned: a change to the order of random draws must
+    show up here, not only in statistical tests."""
+    cfg = replace(
+        preset_config(preset),
+        detector_a_dead_ns=dead_ns, detector_b_dead_ns=dead_ns, detector_i_dead_ns=dead_ns,
+    )
+    stream = simulate_source(cfg.make_source(), duration, seed)
+    sha = hashlib.sha256(stream.times.astype("<i8").tobytes())
+    sha.update(stream.channels.astype("u1").tobytes())
+    assert stream.times.size == n_tags
+    assert sha.hexdigest() == digest
 
 
 def test_invalid_runs_are_rejected():
@@ -197,6 +223,26 @@ def test_gate_darks_flag_controls_dark_gating():
     )
     closed = (ungated.channel_times(2) % 10**9) >= gate.open_ps
     assert closed.mean() > 0.3
+
+
+def test_short_gate_periods_keep_the_duty_share():
+    """A 1 us gate over 2 s has 2e6 periods; the gate is a mask on one time
+    axis, so this costs about what the ungated run costs."""
+    gate = GateSpec(period_ps=1_000_000, duty=0.5)
+    gated = simulate_source(SourceParams(gate=gate), 2.0, seed=16)
+    assert np.all(gate.open_mask(gated.times))
+    n_ungated = simulate_source(SourceParams(), 2.0, seed=16).count(2)
+    expect = gate.duty * n_ungated
+    assert n_ungated > 10_000
+    assert abs(gated.count(2) - expect) < 5.0 * np.sqrt(expect)
+
+
+def test_gated_dark_counts_follow_the_duty():
+    gate = GateSpec(period_ps=1_000_000, duty=0.3)
+    params = SourceParams(pump_mw=0.0, gate=gate, detector_i=DetectorSpec(1.0, 5_000.0))
+    stream = simulate_source(params, 2.0, seed=17)
+    expect = 5_000.0 * gate.duty * 2.0
+    assert abs(stream.count(2) - expect) < 5.0 * np.sqrt(expect)
 
 
 def test_dead_time_enforces_minimum_spacing():
