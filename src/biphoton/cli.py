@@ -139,12 +139,7 @@ class Peak(NamedTuple):
 
 def xcorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
     """Herald-signal cross-correlation: histogram, two-sided peak fit,
-    windowed g2 and the zero-delay estimate.
-
-    The zero-delay value divides the fitted peak amplitude by the counted
-    accidental floor instead of the fitted one; with few counts per floor bin
-    the Poisson-weighted fit biases its floor low, the counted mean does not.
-    """
+    windowed g2 and the fitted zero-delay value."""
     hist = cross_correlation_histogram(
         stream, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps,
         workers=cfg.workers,
@@ -152,12 +147,7 @@ def xcorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
     fit = fit_double_exponential(hist)
     center = int(round(fit.param("tau0_s") * 1e12)) if fit.converged else None
     g2 = normalized_g2(hist, cfg.window_ps, center_ps=center, floor_region_ps=cfg.floor_region_ps)
-    if fit.converged and g2.floor_per_bin > 0:
-        g2_zero = 1.0 + fit.param("amplitude") / g2.floor_per_bin
-        g2_zero_err = (g2_zero - 1.0) * fit.error("amplitude") / fit.param("amplitude")
-    else:
-        g2_zero = g2_zero_err = float("nan")
-    return Peak(hist, fit, g2, g2_zero, g2_zero_err)
+    return Peak(hist, fit, g2, fit.g2_zero(), fit.g2_zero_err())
 
 
 def autocorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
@@ -170,7 +160,7 @@ def autocorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
     fit = fit_symmetric_exponential(hist)
     center = int(round(fit.param("tau0_s") * 1e12)) if fit.converged else 0
     g2 = normalized_g2(hist, cfg.window_ps, center_ps=center, floor_region_ps=cfg.floor_region_ps)
-    return Peak(hist, fit, g2, fit.g2_zero(), fit.error("contrast"))
+    return Peak(hist, fit, g2, fit.g2_zero(), fit.g2_zero_err())
 
 
 def heralded(cfg: ExperimentConfig, stream: TagStream) -> HeraldedG2:

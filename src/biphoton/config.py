@@ -31,12 +31,12 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Raised for unparseable or inconsistent configuration input; ``key``
-    names the config key at fault when one is known."""
+    """Raised for unparseable or inconsistent configuration input; ``keys``
+    names the config keys at fault when they are known."""
 
-    def __init__(self, message: str, key: str | None = None) -> None:
+    def __init__(self, message: str, keys: tuple[str, ...] = ()) -> None:
         super().__init__(message)
-        self.key = key
+        self.keys = keys
 
 
 def _bool(text: str) -> bool:
@@ -149,37 +149,42 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration_s}")
+            raise ConfigError(f"duration must be positive, got {self.duration_s}", ("duration_s",))
         if self.point_duration_s <= 0:
-            raise ConfigError("sweep point duration must be positive")
+            raise ConfigError("sweep point duration must be positive", ("point_duration_s",))
         if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative", ("seed",))
         for name in ("bin_ns", "window_ns", "tau_range_ns", "g2_divisor"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive", (name,))
         if not 0 < self.floor_min_ns < self.floor_max_ns:
-            raise ConfigError("floor region must satisfy 0 < min < max")
-        channels = (self.herald_channel, self.signal_channel, self.partner_channel)
+            raise ConfigError(
+                "floor region must satisfy 0 < min < max", ("floor_min_ns", "floor_max_ns")
+            )
+        channel_keys = ("herald_channel", "signal_channel", "partner_channel")
+        channels = tuple(getattr(self, key) for key in channel_keys)
         if len(set(channels)) != 3:
-            raise ConfigError(f"herald, signal and partner channels must differ, got {channels}")
+            raise ConfigError(
+                f"herald, signal and partner channels must differ, got {channels}", channel_keys
+            )
         if any(not 0 <= ch <= 255 for ch in channels):
-            raise ConfigError("channels must fit in a byte")
+            raise ConfigError("channels must fit in a byte", channel_keys)
         if not self.powers_mw or any(p <= 0 for p in self.powers_mw):
-            raise ConfigError("sweep powers must be positive")
+            raise ConfigError("sweep powers must be positive", ("powers_mw",))
         if not self.windows_ns or any(w <= 0 for w in self.windows_ns):
-            raise ConfigError("sweep windows must be positive")
+            raise ConfigError("sweep windows must be positive", ("windows_ns",))
         if list(self.windows_ns) != sorted(self.windows_ns):
-            raise ConfigError("sweep windows must be ascending")
+            raise ConfigError("sweep windows must be ascending", ("windows_ns",))
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1", ("workers",))
         if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
+            raise ConfigError("n_max must be >= 1", ("n_max",))
         try:
             self.make_source()
         except ValueError as exc:  # ModelError, or GateSpec's ValueError
             key = self._faulty_source_key()
             where = repr(key) if key else "[source] keys"
-            raise ConfigError(f"bad value for {where}: {exc}", key=key) from None
+            raise ConfigError(f"bad value for {where}: {exc}", (key,) if key else ()) from None
 
     def _faulty_source_key(self) -> str | None:
         """Name the last [source] key whose default value alone makes the
@@ -370,9 +375,11 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     try:
         return replace(config, **updates)  # type: ignore[arg-type]
     except ConfigError as exc:
+        # blame the last line that assigned one of the keys at fault
         assigned = {key: lineno for lineno, _, key, _ in assignments}
-        if exc.key in assigned:
-            raise ConfigError(f"line {assigned[exc.key]}: {exc}", key=exc.key) from None
+        linenos = [assigned[key] for key in exc.keys if key in assigned]
+        if linenos:
+            raise ConfigError(f"line {max(linenos)}: {exc}", exc.keys) from None
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

@@ -197,12 +197,9 @@ class G2Result:
     floor_counts: int
 
 
-def _window_bounds(center: int, window: int, anchor: str) -> tuple[float, float]:
-    if anchor == "center":
-        return center - window / 2, center + window / 2
-    if anchor == "start":
-        return float(center), float(center + window)
-    raise AnalysisError(f"unknown window anchor {anchor!r}")
+def _window_offsets(center: int, window: int) -> tuple[int, int]:
+    """Integer delay bounds [lo, hi) covering the window centred at ``center``."""
+    return math.floor(center - window / 2), math.ceil(center + window / 2)
 
 
 def normalized_g2(
@@ -210,7 +207,6 @@ def normalized_g2(
     window_ps: int,
     center_ps: int | None = None,
     floor_region_ps: tuple[int, int] = (1_000_000, 5_000_000),
-    anchor: str = "center",
 ) -> G2Result:
     """Mean counts per bin inside the coincidence window divided by the mean
     over the accidental floor.
@@ -227,14 +223,14 @@ def normalized_g2(
         center = int(centers[int(np.argmax(hist.counts))])
     else:
         center = int(center_ps)
-    w_lo, w_hi = _window_bounds(center, window, anchor)
+    w_lo, w_hi = center - window / 2, center + window / 2
     in_window = (centers >= w_lo) & (centers < w_hi)
     f_lo, f_hi = floor_region_ps
     if f_lo <= 0 or f_hi <= f_lo:
         raise AnalysisError("floor region must satisfy 0 < lo < hi")
     dist = np.abs(centers - center)
     in_floor = (dist >= f_lo) & (dist <= f_hi)
-    if max(abs(w_lo - center), abs(w_hi - center)) > f_lo:
+    if window / 2 > f_lo:
         raise AnalysisError("floor region overlaps the coincidence window")
     n_window = int(in_window.sum())
     n_floor = int(in_floor.sum())
@@ -275,7 +271,6 @@ class FaselHistogram:
     counts: np.ndarray
     herald_count: int
     window_ps: int
-    offset_ps: int
 
     def __post_init__(self) -> None:
         if len(self.orders) != len(self.counts):
@@ -299,9 +294,7 @@ def heralded_autocorrelation(
     channel_a: int,
     channel_b: int,
     window_ps: int,
-    offset_ps: int = 0,
     n_max: int = 15,
-    anchor: str = "center",
 ) -> HeraldedG2:
     """Conditioned autocorrelation of the heralded arm.
 
@@ -322,9 +315,9 @@ def heralded_autocorrelation(
             f"need at least {2 * n_max + 1} heralds for orders up to {n_max}, "
             f"got {heralds.size}"
         )
-    w_lo, w_hi = _window_bounds(offset_ps, window, anchor)
-    lo = heralds + int(math.floor(w_lo))
-    hi = heralds + int(math.ceil(w_hi))
+    w_lo, w_hi = _window_offsets(0, window)
+    lo = heralds + w_lo
+    hi = heralds + w_hi
     hits = []
     for channel in (channel_a, channel_b):
         t = stream.channel_times(channel)
@@ -342,7 +335,6 @@ def heralded_autocorrelation(
         counts=counts,
         herald_count=int(heralds.size),
         window_ps=window,
-        offset_ps=int(offset_ps),
     )
     h0 = int(counts[n_max])
     s_other = int(counts.sum()) - h0
@@ -392,8 +384,6 @@ def coincidence_metrics(
     signal_channel: int,
     window_ps: int,
     eta_det_s: float,
-    offset_ps: int = 0,
-    anchor: str = "center",
 ) -> CoincidenceMetrics:
     """Count heralds, signals and herald-signal pairs in a coincidence window
     and derive the heralding efficiency (detector efficiency divided out).
@@ -411,8 +401,7 @@ def coincidence_metrics(
     duration_s = stream.span_ps * 1e-12
     if duration_s <= 0:
         raise AnalysisError("stream spans no time")
-    w_lo, w_hi = _window_bounds(offset_ps, int(window_ps), anchor)
-    coinc = _pair_count(heralds, signals, int(math.floor(w_lo)), int(math.ceil(w_hi)))
+    coinc = _pair_count(heralds, signals, *_window_offsets(0, int(window_ps)))
     herald_rate = heralds.size / duration_s
     signal_rate = signals.size / duration_s
     accidentals = heralds.size * signal_rate * (int(window_ps) * 1e-12)
@@ -452,7 +441,6 @@ def window_sweep(
     center_ps: int | None = None,
     bin_width_ps: int = 5_000,
     floor_region_ps: tuple[int, int] = (1_000_000, 5_000_000),
-    anchor: str = "center",
     workers: int = 1,
 ) -> list[WindowSweepPoint]:
     """Coincidence rate, heralding efficiency and windowed g2 as a function
@@ -480,9 +468,8 @@ def window_sweep(
     duration_s = stream.span_ps * 1e-12
     points = []
     for window in windows:
-        w_lo, w_hi = _window_bounds(center, window, anchor)
-        coinc = _pair_count(heralds, signals, int(math.floor(w_lo)), int(math.ceil(w_hi)))
-        g2 = normalized_g2(hist, window, center, floor_region_ps, anchor)
+        coinc = _pair_count(heralds, signals, *_window_offsets(center, window))
+        g2 = normalized_g2(hist, window, center, floor_region_ps)
         points.append(
             WindowSweepPoint(
                 window_ps=window,

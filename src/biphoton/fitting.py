@@ -1,11 +1,15 @@
-"""Weighted nonlinear least-squares fits for correlation histograms.
+"""Poisson maximum-likelihood fits for correlation histograms.
 
 Two peak models are provided: the two-sided exponential of a nondegenerate
 pair source (independent falling and rising linewidths) and a symmetric
-exponential for thermal bunching peaks.  The solver is a damped Gauss-Newton
-iteration with analytic Jacobians and Poisson weighting; bins are weighted
-by 1/max(counts, 1) and the bin containing the peak position carries half
-weight because the model kink makes its Jacobian unreliable there.
+exponential for thermal bunching peaks.  The fits minimise the Poisson
+deviance 2 sum [m - c + c ln(c/m)] of counts c against model m, which keeps
+the accidental floor unbiased when bins hold a count or less (Baker &
+Cousins, NIM 221, 437 (1984)).  The solver is iteratively reweighted least
+squares: a damped Gauss-Newton iteration with analytic Jacobians and weights
+1/m recomputed from each accepted model.  The bin containing the peak
+position carries half weight because the model kink makes its Jacobian
+unreliable there.
 """
 
 from __future__ import annotations
@@ -31,7 +35,13 @@ _PARAM_NAMES = {
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged parameter estimates with first-order standard errors."""
+    """Parameter estimates with first-order standard errors.
+
+    ``residual_norm`` is the Poisson deviance of the returned parameters.
+    :meth:`g2_zero` and :meth:`g2_zero_err` give the zero-delay correlation
+    and its error for both models; both are NaN when the fit did not
+    converge.
+    """
 
     model: str
     names: tuple[str, ...]
@@ -56,7 +66,10 @@ class FitResult:
         raise AnalysisError(f"unknown model {self.model!r}")
 
     def g2_zero(self) -> float:
-        """Peak-to-floor ratio at zero delay (normalized g2 scale)."""
+        """Peak-to-floor ratio at zero delay (normalized g2 scale); NaN when
+        the fit did not converge."""
+        if not self.converged:
+            return float("nan")
         if self.model == DOUBLE_EXPONENTIAL:
             floor = self.param("floor")
             if floor <= 0:
@@ -65,6 +78,20 @@ class FitResult:
         if self.model == SYMMETRIC_EXPONENTIAL:
             return 1.0 + self.param("contrast")
         raise AnalysisError(f"unknown model {self.model!r}")
+
+    def g2_zero_err(self) -> float:
+        """First-order standard error of :meth:`g2_zero`.  For the double
+        exponential the relative amplitude and floor errors add in quadrature;
+        their correlation is a few percent on a well-sampled floor and is
+        neglected."""
+        g2 = self.g2_zero()
+        if math.isnan(g2):
+            return g2
+        if self.model == DOUBLE_EXPONENTIAL:
+            rel_amp = self.error("amplitude") / self.param("amplitude")
+            rel_floor = self.error("floor") / self.param("floor")
+            return (g2 - 1.0) * math.hypot(rel_amp, rel_floor)
+        return self.error("contrast")
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +175,11 @@ def finite_difference_check(model: str, params, tau_s, rel_step: float = 1e-6) -
 # ---------------------------------------------------------------------------
 
 
-def _weights(counts: np.ndarray, tau: np.ndarray, tau0: float, bin_s: float) -> np.ndarray:
-    w = 1.0 / np.maximum(counts, 1.0)
-    kink = np.abs(tau - tau0) < 0.5 * bin_s
-    w[kink] *= 0.5
-    return w
+def _deviance(counts: np.ndarray, model: np.ndarray, kink: np.ndarray) -> float:
+    """Weighted Poisson deviance 2 sum k (m - c + c ln(c/m)); empty bins add 2 k m."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.where(counts > 0, counts * np.log(counts / model), 0.0)
+    return 2.0 * float(np.dot(kink, model - counts + log_term))
 
 
 def _solve(
@@ -166,17 +193,21 @@ def _solve(
     max_iter: int = 200,
 ) -> FitResult:
     fn = _MODELS[model]
+
+    def kink_weights(p: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(tau - p[tau0_index]) < 0.5 * bin_s, 0.5, 1.0)
+
     lam = 1e-3
     f, jac = fn(params, tau)
-    w = _weights(counts, tau, params[tau0_index], bin_s)
-    r = counts - f
-    cost = float(np.dot(w, r * r))
+    kink = kink_weights(params)
+    cost = _deviance(counts, f, kink)
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        jtw = jac.T * w
+        # Gauss-Newton step for the deviance: least squares with weights k/m
+        jtw = jac.T * (kink / f)
         hess = jtw @ jac
-        grad = jtw @ r
+        grad = jtw @ (counts - f)
         diag = np.diag(hess).copy()
         diag[diag <= 0] = 1.0
         accepted = False
@@ -191,12 +222,14 @@ def _solve(
                 lam *= 10.0
                 continue
             f_t, jac_t = fn(trial, tau)
-            w_t = _weights(counts, tau, trial[tau0_index], bin_s)
-            r_t = counts - f_t
-            cost_t = float(np.dot(w_t, r_t * r_t))
+            if not np.all(f_t > 0):
+                lam *= 10.0
+                continue
+            kink_t = kink_weights(trial)
+            cost_t = _deviance(counts, f_t, kink_t)
             if cost_t <= cost:
                 rel = float(np.max(np.abs(step) / (np.abs(params) + 1e-300)))
-                params, f, jac, w, r, cost = trial, f_t, jac_t, w_t, r_t, cost_t
+                params, f, jac, kink, cost = trial, f_t, jac_t, kink_t, cost_t
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 if rel < 1e-8:
@@ -205,27 +238,25 @@ def _solve(
             lam *= 10.0
         if converged or not accepted:
             break
-    jtw = jac.T * w
-    hess = jtw @ jac
+    hess = (jac.T * (kink / f)) @ jac
     try:
         cov = np.linalg.inv(hess)
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         errors = np.full(params.size, np.inf)
-    return FitResult(
-        model=model,
-        names=_PARAM_NAMES[model],
-        values=params,
-        errors=errors,
-        residual_norm=cost,
-        converged=converged,
-        iterations=iteration,
-    )
+    return FitResult(model, _PARAM_NAMES[model], params, errors, cost, converged, iteration)
+
+
+def _not_started(model: str, init: np.ndarray) -> FitResult:
+    """The result for data with no peak to fit: start values, not converged."""
+    errors = np.full(init.size, np.inf)
+    return FitResult(model, _PARAM_NAMES[model], init, errors, float("nan"), False, 0)
 
 
 def _floor_estimate(counts: np.ndarray) -> float:
+    """Mean of the outer quarters: the Poisson estimate of a flat floor."""
     quarter = max(counts.size // 4, 1)
-    return float(np.median(np.concatenate([counts[:quarter], counts[-quarter:]])))
+    return float(np.mean(np.concatenate([counts[:quarter], counts[-quarter:]])))
 
 
 def _smoothed(counts: np.ndarray) -> np.ndarray:
@@ -268,15 +299,7 @@ def fit_double_exponential(
     amp = counts[peak] - floor
     if amp <= 0 or counts.size < 8:
         init = np.array([max(amp, 1.0), 1e6, 1e6, tau[peak], max(floor, 0.0)])
-        return FitResult(
-            model=DOUBLE_EXPONENTIAL,
-            names=_PARAM_NAMES[DOUBLE_EXPONENTIAL],
-            values=init,
-            errors=np.full(5, np.inf),
-            residual_norm=float("nan"),
-            converged=False,
-            iterations=0,
-        )
+        return _not_started(DOUBLE_EXPONENTIAL, init)
     w_fall = max(_half_width(tau, counts, peak, floor, +1), bin_s)
     w_rise = max(_half_width(tau, counts, peak, floor, -1), bin_s)
     init = np.array(
@@ -312,15 +335,7 @@ def fit_symmetric_exponential(
     contrast = smooth[peak] / floor - 1.0 if floor > 0 else 0.0
     if floor <= 0 or contrast <= 0 or counts.size < 8:
         init = np.array([max(floor, 1.0), 0.1, 1e-7, tau[peak]])
-        return FitResult(
-            model=SYMMETRIC_EXPONENTIAL,
-            names=_PARAM_NAMES[SYMMETRIC_EXPONENTIAL],
-            values=init,
-            errors=np.full(4, np.inf),
-            residual_norm=float("nan"),
-            converged=False,
-            iterations=0,
-        )
+        return _not_started(SYMMETRIC_EXPONENTIAL, init)
     if decay_init_s is None:
         width = max(
             _half_width(tau, smooth, peak, floor, +1),

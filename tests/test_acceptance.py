@@ -81,10 +81,7 @@ def xcorr_run():
     fit = fit_double_exponential(hist)
     center = int(round(fit.param("tau0_s") * 1e12))
     g400 = normalized_g2(hist, cfg.window_ps, center_ps=center)
-    # zero-delay estimate that does not lean on the fitted floor: fitted peak
-    # amplitude over the measured accidental floor
-    g0 = 1.0 + fit.param("amplitude") / g400.floor_per_bin
-    g0_err = (g0 - 1.0) * fit.error("amplitude") / fit.param("amplitude")
+    g0, g0_err = fit.g2_zero(), fit.g2_zero_err()
     return SimpleNamespace(cfg=cfg, fit=fit, g400=g400, g0=g0, g0_err=g0_err)
 
 
@@ -373,8 +370,7 @@ def test_criterion_6_cauchy_schwarz(xcorr_run, signal_split_run, idler_split_run
     )
     r0, r0_err = cauchy_schwarz(
         xcorr_run.g0, signal_split_run.fit.g2_zero(), idler_split_run.fit.g2_zero(),
-        xcorr_run.g0_err, signal_split_run.fit.error("contrast"),
-        idler_split_run.fit.error("contrast"),
+        xcorr_run.g0_err, signal_split_run.fit.g2_zero_err(), idler_split_run.fit.g2_zero_err(),
     )
 
     # surrogate with pair correlations disabled: all three correlations from

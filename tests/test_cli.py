@@ -9,6 +9,7 @@ import pytest
 import biphoton.cli
 from biphoton.cli import main
 from biphoton.config import parse_config
+from biphoton.models import ModelError
 from biphoton.tagstream import (
     FORMAT_VERSION,
     HEADER_STRUCT,
@@ -108,6 +109,17 @@ def test_xcorr_on_saved_tags(tmp_path, lossless_tags, capsys):
     assert "fit_dnu_fall_hz" in summary
     assert "g2 =" in summary
     assert "g2_zero =" in summary
+
+
+def test_xcorr_g2_zero_is_the_fitted_peak_over_the_fitted_floor(tmp_path, lossless_tags):
+    cfg, tags = lossless_tags
+    out = tmp_path / "x"
+    assert main(["xcorr", "--config", cfg, "--tags", tags, "--out", str(out)]) == 0
+    lines = (out / "xcorr_summary.txt").read_text(encoding="ascii").splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    assert summary["fit_converged"] == "true"
+    expected = 1.0 + float(summary["fit_amplitude"]) / float(summary["fit_floor"])
+    assert float(summary["g2_zero"]) == pytest.approx(expected, rel=1e-7)
 
 
 def test_metrics_on_saved_tags(tmp_path, lossless_tags, capsys):
@@ -307,9 +319,13 @@ def test_report_is_deterministic_and_self_describing(tmp_path):
     assert [int(r["n"]) for r in orders] == list(range(-15, 16))
 
 
-def test_failed_report_writes_no_artifacts(tmp_path, capsys):
-    # 4 s leave no idler coincidence in a 100 ns window, so the
-    # Cauchy-Schwarz ratio cannot be formed
+def test_failed_report_writes_no_artifacts(tmp_path, capsys, monkeypatch):
+    # the Cauchy-Schwarz ratio is formed after every histogram is computed
+    # and before any file is written
+    def failing_ratio(*args):
+        raise ModelError("correlation values must be positive")
+
+    monkeypatch.setattr(biphoton.cli, "cauchy_schwarz", failing_ratio)
     cfg = _write(
         tmp_path, "rep.cfg",
         "[analysis]\nwindow_ns = 100\nbin_ns = 10\n[run]\nduration_s = 4.0\nseed = 7\n",

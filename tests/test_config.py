@@ -174,6 +174,22 @@ def test_parse_errors_carry_line_numbers():
         parse_config("[source]\npreset = reference\n")
 
 
+@pytest.mark.parametrize("text,lineno,keys", [
+    ("[run]\nduration_s = 0\n", 2, ("duration_s",)),
+    ("[analysis]\nwindow_ns = -1\n", 2, ("window_ns",)),
+    ("[analysis]\nworkers = 0\n", 2, ("workers",)),
+    ("[analysis]\nfloor_min_ns = 9000\n", 2, ("floor_min_ns", "floor_max_ns")),
+    ("[analysis]\nfloor_max_ns = 800\nbin_ns = 2\nfloor_min_ns = 900\n", 4,
+     ("floor_min_ns", "floor_max_ns")),
+    ("[analysis]\nsignal_channel = 2\n", 2,
+     ("herald_channel", "signal_channel", "partner_channel")),
+])
+def test_value_errors_carry_line_numbers(text, lineno, keys):
+    with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:
+        parse_config(text)
+    assert info.value.keys == keys
+
+
 def test_parse_with_explicit_base():
     base = preset_config("surrogate")
     cfg = parse_config("[run]\nseed = 9\n", base=base)

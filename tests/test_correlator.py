@@ -164,16 +164,6 @@ def test_normalized_g2_finds_the_peak_without_a_center():
     assert res.value == 50.0
 
 
-def test_normalized_g2_start_anchor():
-    hist = _step_histogram()
-    res = normalized_g2(
-        hist, 20_000, center_ps=-20_000, floor_region_ps=(100_000, 900_000), anchor="start"
-    )
-    assert res.value == 9.0
-    with pytest.raises(AnalysisError, match="anchor"):
-        normalized_g2(hist, 20_000, center_ps=0, anchor="middle")
-
-
 def test_normalized_g2_error_paths():
     hist = _step_histogram()
     with pytest.raises(AnalysisError, match="window must be positive"):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from biphoton.correlator import AnalysisError, CorrelationHistogram
+from biphoton.config import preset_config
+from biphoton.correlator import AnalysisError, CorrelationHistogram, cross_correlation_histogram
 from biphoton.fitting import (
     DOUBLE_EXPONENTIAL,
     SYMMETRIC_EXPONENTIAL,
@@ -16,6 +17,7 @@ from biphoton.fitting import (
     fit_double_exponential,
     fit_symmetric_exponential,
 )
+from biphoton.simulator import simulate_source
 
 TWO_PI = 2.0 * math.pi
 BW = 5_000
@@ -160,6 +162,41 @@ def test_pull_distribution_is_calibrated():
         assert 0.7 < pulls.std() < 1.3
 
 
+def test_floor_is_unbiased_at_one_count_per_bin():
+    """At about one count per bin a count-weighted (Neyman) fit pulls the
+    floor far below the truth; the Poisson-deviance fit does not."""
+    tau = _centers(-2_000_000, 2_000_000)
+    mean = _double_curve(tau, 30.0, 3.7e6, 2.3e6, 3e-9, 1.0)
+    floors = []
+    for seed in range(60):
+        counts = np.random.default_rng(2000 + seed).poisson(mean).astype(np.int64)
+        hist = CorrelationHistogram(BW, -2_000_000, 2_000_000, counts, 2, 0, 1, 1, 10**12)
+        fit = fit_double_exponential(hist)
+        assert fit.converged
+        floors.append(fit.param("floor"))
+    floors = np.array(floors)
+    stderr = floors.std(ddof=1) / math.sqrt(floors.size)
+    assert abs(floors.mean() - 1.0) < 3.0 * stderr
+
+
+def test_sparse_idler_autocorrelation_converges():
+    """A 30 s idler autocorrelation holds about 0.04 counts per floor bin, so
+    the median of its outer quarters is 0; the floor start value must still
+    be positive for the fit to leave its start point."""
+    cfg = preset_config("idler-autocorr")
+    stream = simulate_source(cfg.make_source(), 30.0, seed=14)
+    hist = cross_correlation_histogram(
+        stream, cfg.signal_channel, cfg.partner_channel, cfg.bin_ps, cfg.tau_range_ps
+    )
+    quarter = hist.n_bins // 4
+    assert np.median(np.concatenate([hist.counts[:quarter], hist.counts[-quarter:]])) == 0
+    fit = fit_symmetric_exponential(hist)
+    assert fit.converged
+    assert fit.iterations > 0
+    assert fit.g2_zero() > 1.0
+    assert math.isfinite(fit.g2_zero_err())
+
+
 def test_flat_data_reports_no_convergence():
     flat = CorrelationHistogram(
         BW, -400_000, 400_000, np.full(160, 40, dtype=np.int64), 2, 0, 1, 1, 10**12
@@ -171,6 +208,10 @@ def test_flat_data_reports_no_convergence():
     )
     assert not fit_double_exponential(dark).converged
     assert not fit_symmetric_exponential(dark).converged
+    # an unconverged fit has no zero-delay value
+    for fit in (fit_double_exponential(flat), fit_symmetric_exponential(flat)):
+        assert math.isnan(fit.g2_zero())
+        assert math.isnan(fit.g2_zero_err())
 
 
 def test_explicit_initial_guesses_are_honored():
