@@ -361,7 +361,6 @@ def cmd_sweep_window(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Li
         cfg.signal_channel,
         windows_ps,
         eta_det_s=cfg.detector_a_efficiency,
-        center_ps=0,
         bin_width_ps=cfg.bin_ps,
         floor_region_ps=cfg.floor_region_ps,
         workers=cfg.workers,

@@ -157,6 +157,8 @@ class ExperimentConfig:
         for name in ("bin_ns", "window_ns", "tau_range_ns", "g2_divisor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive", (name,))
+        if self.bin_ps <= 0 or 2 * self.tau_range_ps[1] % self.bin_ps:
+            raise ConfigError("bin_ns must divide 2 * tau_range_ns", ("bin_ns", "tau_range_ns"))
         if not 0 < self.floor_min_ns < self.floor_max_ns:
             raise ConfigError(
                 "floor region must satisfy 0 < min < max", ("floor_min_ns", "floor_max_ns")

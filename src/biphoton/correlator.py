@@ -3,10 +3,11 @@
 Everything operates on sorted :class:`~biphoton.tagstream.TagStream` data.
 Histograms are multi-stop: every (start, stop) pair whose delay falls in the
 requested range is counted, which is unbiased at high rates where classical
-start-stop counting saturates.  The kernel is a vectorized two-cursor sweep
-(binary searches for the per-start stop range, then one bincount); work is
-split into fixed-size start chunks whose partial histograms sum exactly, so
-multi-threaded results are bit-identical to serial ones.
+start-stop counting saturates.  One kernel counts every pair (binary searches
+for each start's stop range, then one bincount) in fixed-size start chunks
+whose partial histograms sum exactly, so multi-threaded results are
+bit-identical to serial ones.  Every coincidence count is read from its
+histogram over the widest window centred at zero delay.
 """
 
 from __future__ import annotations
@@ -97,25 +98,58 @@ def _require_picosecond_resolution(stream: TagStream) -> None:
         )
 
 
-def _chunk_histogram(
-    starts: np.ndarray,
-    stops: np.ndarray,
-    tau_min: int,
-    tau_max: int,
-    bin_width: int,
-    n_bins: int,
+def _stop_ranges(
+    starts: np.ndarray, stops: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges [first, last) of the sorted stops in [start + lo, start + hi)."""
+    return tuple(np.searchsorted(stops, starts + edge, side="left") for edge in (lo, hi))
+
+
+def _histogram(
+    starts: np.ndarray, stops: np.ndarray, tau_min: int, width: int, n_bins: int, workers: int = 1
 ) -> np.ndarray:
-    lo = np.searchsorted(stops, starts + tau_min, side="left")
-    hi = np.searchsorted(stops, starts + tau_max, side="left")
-    mult = hi - lo
-    total = int(mult.sum())
-    if total == 0:
-        return np.zeros(n_bins, dtype=np.int64)
-    run_start = np.cumsum(mult) - mult
-    idx = np.arange(total, dtype=np.int64) - np.repeat(run_start, mult) + np.repeat(lo, mult)
-    delays = stops[idx] - np.repeat(starts, mult)
-    bins = (delays - tau_min) // bin_width
-    return np.bincount(bins, minlength=n_bins).astype(np.int64, copy=False)
+    """Multi-stop counts of stop - start delays in ``n_bins`` bins of ``width``
+    from ``tau_min``, over sorted times; start chunks on ``workers`` threads sum exactly."""
+
+    def work(begin: int) -> np.ndarray:
+        part = starts[begin : begin + _CHUNK_STARTS]
+        lo, hi = _stop_ranges(part, stops, tau_min, tau_min + n_bins * width)
+        mult = hi - lo
+        total = int(mult.sum())
+        run_start = np.cumsum(mult) - mult
+        idx = np.arange(total, dtype=np.int64) - np.repeat(run_start, mult) + np.repeat(lo, mult)
+        delays = stops[idx] - np.repeat(part, mult)
+        bins = (delays - tau_min) // width
+        return np.bincount(bins, minlength=n_bins).astype(np.int64, copy=False)
+
+    chunks = range(0, starts.size, _CHUNK_STARTS)
+    if workers > 1 and starts.size > _CHUNK_STARTS:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return sum(pool.map(work, chunks), np.zeros(n_bins, dtype=np.int64))
+    return sum(map(work, chunks), np.zeros(n_bins, dtype=np.int64))
+
+
+def _window_offsets(window: int) -> tuple[int, int]:
+    """Integer delay bounds [lo, hi) covering the window centred at zero delay."""
+    if window <= 0:
+        raise AnalysisError("window must be positive")
+    return math.floor(-window / 2), math.ceil(window / 2)
+
+
+def _window_counts(
+    heralds: np.ndarray, signals: np.ndarray, windows: list[int], workers: int = 1
+) -> list[int]:
+    """Herald-signal pairs in each window centred at zero delay, read by
+    prefix sums from one kernel histogram over the widest window.  Its bin
+    width is the gcd of the window edges measured from the lowest edge, so
+    every window is a whole number of bins (a single window is one bin)."""
+    bounds = [_window_offsets(w) for w in windows]
+    origin = min(lo for lo, _ in bounds)
+    width = math.gcd(*(edge - origin for bound in bounds for edge in bound))
+    n_bins = (max(hi for _, hi in bounds) - origin) // width
+    counts = _histogram(heralds, signals, origin, width, n_bins, workers)
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    return [int(cum[(hi - origin) // width] - cum[(lo - origin) // width]) for lo, hi in bounds]
 
 
 def cross_correlation_histogram(
@@ -127,12 +161,7 @@ def cross_correlation_histogram(
     workers: int = 1,
 ) -> CorrelationHistogram:
     """Multi-stop delay histogram of ``stop_channel`` relative to
-    ``start_channel``.
-
-    ``workers`` > 1 correlates fixed-size start chunks in a thread pool; the
-    integer partial histograms are summed, so the result does not depend on
-    the worker count.
-    """
+    ``start_channel``; ``workers`` threads give bit-identical counts."""
     _require_picosecond_resolution(stream)
     tau_min, tau_max = (int(t) for t in tau_range_ps)
     bin_width = int(bin_width_ps)
@@ -147,21 +176,7 @@ def cross_correlation_histogram(
     if stops.size == 0:
         raise AnalysisError(f"no tags on stop channel {stop_channel}")
     n_bins = (tau_max - tau_min) // bin_width
-
-    chunks = range(0, starts.size, _CHUNK_STARTS)
-
-    def work(begin: int) -> np.ndarray:
-        part = starts[begin : begin + _CHUNK_STARTS]
-        return _chunk_histogram(part, stops, tau_min, tau_max, bin_width, n_bins)
-
-    if workers > 1 and starts.size > _CHUNK_STARTS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(work, chunks), np.zeros(n_bins, dtype=np.int64))
-    else:
-        counts = np.zeros(n_bins, dtype=np.int64)
-        for begin in chunks:
-            counts += work(begin)
-
+    counts = _histogram(starts, stops, tau_min, bin_width, n_bins, workers)
     if start_channel == stop_channel and tau_min <= 0 < tau_max:
         # remove each tag paired with itself
         counts[(-tau_min) // bin_width] -= starts.size
@@ -195,11 +210,6 @@ class G2Result:
     floor_region_ps: tuple[int, int]
     window_counts: int
     floor_counts: int
-
-
-def _window_offsets(center: int, window: int) -> tuple[int, int]:
-    """Integer delay bounds [lo, hi) covering the window centred at ``center``."""
-    return math.floor(center - window / 2), math.ceil(center + window / 2)
 
 
 def normalized_g2(
@@ -307,29 +317,22 @@ def heralded_autocorrelation(
         raise AnalysisError("n_max must be at least 1")
     _require_picosecond_resolution(stream)
     window = int(window_ps)
-    if window <= 0:
-        raise AnalysisError("window must be positive")
     heralds = stream.channel_times(herald_channel)
     if heralds.size < 2 * n_max + 1:
         raise AnalysisError(
             f"need at least {2 * n_max + 1} heralds for orders up to {n_max}, "
             f"got {heralds.size}"
         )
-    w_lo, w_hi = _window_offsets(0, window)
-    lo = heralds + w_lo
-    hi = heralds + w_hi
-    hits = []
-    for channel in (channel_a, channel_b):
-        t = stream.channel_times(channel)
-        hits.append(np.searchsorted(t, hi, side="left") > np.searchsorted(t, lo, side="left"))
-    a, b = hits
+    w_lo, w_hi = _window_offsets(window)
+    # an arm fired for a herald when its stop range [first, last) is not empty
+    a, b = (
+        np.less(*_stop_ranges(heralds, stream.channel_times(channel), w_lo, w_hi))
+        for channel in (channel_a, channel_b)
+    )
+    # H(n) counts the heralds k with a_k and b_(k+n); b gains n_max misses at either end
+    b = np.concatenate([np.zeros(n_max, bool), b, np.zeros(n_max, bool)])
     orders = np.arange(-n_max, n_max + 1, dtype=np.int64)
-    counts = np.empty(orders.size, dtype=np.int64)
-    for i, n in enumerate(orders):
-        if n >= 0:
-            counts[i] = int(np.count_nonzero(a[: a.size - n] & b[n:])) if n < a.size else 0
-        else:
-            counts[i] = int(np.count_nonzero(a[-n:] & b[: b.size + n])) if -n < a.size else 0
+    counts = np.array([np.count_nonzero(a & b[n_max + n : n_max + n + a.size]) for n in orders])
     fasel = FaselHistogram(
         orders=orders,
         counts=counts,
@@ -372,12 +375,6 @@ class CoincidenceMetrics:
     window_ps: int
 
 
-def _pair_count(heralds: np.ndarray, signals: np.ndarray, lo_off: int, hi_off: int) -> int:
-    lo = np.searchsorted(signals, heralds + lo_off, side="left")
-    hi = np.searchsorted(signals, heralds + hi_off, side="left")
-    return int((hi - lo).sum())
-
-
 def coincidence_metrics(
     stream: TagStream,
     herald_channel: int,
@@ -401,7 +398,7 @@ def coincidence_metrics(
     duration_s = stream.span_ps * 1e-12
     if duration_s <= 0:
         raise AnalysisError("stream spans no time")
-    coinc = _pair_count(heralds, signals, *_window_offsets(0, int(window_ps)))
+    (coinc,) = _window_counts(heralds, signals, [int(window_ps)])
     herald_rate = heralds.size / duration_s
     signal_rate = signals.size / duration_s
     accidentals = heralds.size * signal_rate * (int(window_ps) * 1e-12)
@@ -438,49 +435,46 @@ def window_sweep(
     signal_channel: int,
     windows_ps,
     eta_det_s: float,
-    center_ps: int | None = None,
     bin_width_ps: int = 5_000,
     floor_region_ps: tuple[int, int] = (1_000_000, 5_000_000),
     workers: int = 1,
 ) -> list[WindowSweepPoint]:
-    """Coincidence rate, heralding efficiency and windowed g2 as a function
-    of coincidence-window width."""
+    """Coincidence rate, heralding efficiency and windowed g2 versus the width
+    of a window centred at zero delay, all counts from one kernel histogram."""
     windows = [int(w) for w in windows_ps]
     if not windows or any(w <= 0 for w in windows):
         raise AnalysisError("window widths must be positive")
     if sorted(windows) != windows:
         raise AnalysisError("window widths must be ascending")
-    half_range = int(floor_region_ps[1] + max(windows))
+    bin_width = int(bin_width_ps)
+    if bin_width <= 0:
+        raise AnalysisError("bin width must be positive")
+    # whole bins from -(floor max + widest window); bins past the floor are not read
+    tau_min = -int(floor_region_ps[1] + max(windows))
+    tau_max = -tau_min + (2 * tau_min) % bin_width
     hist = cross_correlation_histogram(
         stream,
         herald_channel,
         signal_channel,
-        bin_width_ps,
-        (-half_range, half_range),
+        bin_width,
+        (tau_min, tau_max),
         workers=workers,
     )
-    if center_ps is None:
-        center = int(hist.bin_centers_ps[int(np.argmax(hist.counts))])
-    else:
-        center = int(center_ps)
     heralds = stream.channel_times(herald_channel)
-    signals = stream.channel_times(signal_channel)
+    coincidences = _window_counts(heralds, stream.channel_times(signal_channel), windows, workers)
     duration_s = stream.span_ps * 1e-12
-    points = []
-    for window in windows:
-        coinc = _pair_count(heralds, signals, *_window_offsets(center, window))
-        g2 = normalized_g2(hist, window, center, floor_region_ps)
-        points.append(
-            WindowSweepPoint(
-                window_ps=window,
-                coincidence_count=coinc,
-                coincidence_rate_hz=coinc / duration_s,
-                heralding_efficiency=(coinc / heralds.size) / eta_det_s,
-                g2=g2.value,
-                g2_uncertainty=g2.uncertainty,
-            )
+    g2s = [normalized_g2(hist, window, 0, floor_region_ps) for window in windows]
+    return [
+        WindowSweepPoint(
+            window_ps=window,
+            coincidence_count=coinc,
+            coincidence_rate_hz=coinc / duration_s,
+            heralding_efficiency=(coinc / heralds.size) / eta_det_s,
+            g2=g2.value,
+            g2_uncertainty=g2.uncertainty,
         )
-    return points
+        for window, coinc, g2 in zip(windows, coincidences, g2s)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ _PARAM_NAMES = {
 class FitResult:
     """Parameter estimates with first-order standard errors.
 
-    ``residual_norm`` is the Poisson deviance of the returned parameters.
+    ``residual_norm`` is the Poisson deviance of the returned parameters;
+    ``converged`` also requires the peak inside the histogram and every
+    standard error positive and finite.
     :meth:`g2_zero` and :meth:`g2_zero_err` give the zero-delay correlation
     and its error for both models; both are NaN when the fit did not
     converge.
@@ -244,6 +246,8 @@ def _solve(
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         errors = np.full(params.size, np.inf)
+    inside = tau[0] - bin_s / 2 <= params[tau0_index] <= tau[-1] + bin_s / 2
+    converged = bool(converged and inside and np.all(np.isfinite(errors) & (errors > 0)))
     return FitResult(model, _PARAM_NAMES[model], params, errors, cost, converged, iteration)
 
 

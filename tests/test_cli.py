@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 
+import contextlib
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -157,6 +159,21 @@ def test_sweep_window_uses_tags_and_divisor(tmp_path, lossless_tags):
     # wider windows catch more pairs
     assert int(rows1[1]["coincidences"]) > int(rows1[0]["coincidences"])
     assert base.window_ns == 400.0
+
+
+@pytest.mark.parametrize("extra", [
+    "[sweep]\nwindows_ns = 50, 100, 201\n",
+    "[analysis]\nbin_ns = 7\ntau_range_ns = 3500\n",
+], ids=["windows-50-100-201", "bin-7ns"])
+def test_sweep_window_accepts_any_bin_width(tmp_path, lossless_tags, extra):
+    # the g2 histogram spans +-(floor_max_ns + widest window), which need not
+    # be a whole number of bins
+    cfg, tags = lossless_tags
+    swept = _write(tmp_path, "w.cfg", open(cfg).read() + extra)
+    out = tmp_path / "w"
+    assert main(["sweep-window", "--config", swept, "--tags", tags, "--out", str(out)]) == 0
+    windows = parse_config(open(swept).read()).windows_ns
+    assert [float(r["window_ns"]) for r in _rows(out / "window_sweep.csv")] == list(windows)
 
 
 def test_heralded_needs_the_herald_channel(tmp_path):
@@ -348,3 +365,45 @@ def test_report_uses_the_users_analysis_keys(tmp_path):
     for name in ("auto_correlation_signal.csv", "auto_correlation_idler.csv"):
         delays = [float(r["delay_ns"]) for r in _rows(out / name)]
         assert np.allclose(np.diff(delays), 10.0), name
+
+
+# --- frozen outputs -------------------------------------------------------------------
+
+FROZEN_RUN = "[run]\nduration_s = 4.0\nseed = 7\n"
+FROZEN_SPLIT = "[run]\npreset = signal-autocorr\nduration_s = 4.0\nseed = 7\n"
+FROZEN_SWEEP = FROZEN_RUN + "[sweep]\npowers_mw = 0.5, 1.0\npoint_duration_s = 2.0\n"
+
+
+def _output_digest(tmp_path, command, config_text):
+    """sha256 over the masked stdout and every artifact (name and bytes) of
+    one subcommand run; the temporary directory is masked everywhere."""
+    cfg = _write(tmp_path, "frozen.cfg", config_text)
+    out = tmp_path / "out"
+    capture = io.StringIO()
+    with contextlib.redirect_stdout(capture):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    mask = str(tmp_path).encode()
+    sha = hashlib.sha256(capture.getvalue().encode().replace(mask, b"<tmp>"))
+    for path in sorted(out.iterdir()):
+        sha.update(path.name.encode() + b"\0" + path.read_bytes().replace(mask, b"<tmp>"))
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("command,config_text,digest", [
+    ("simulate", FROZEN_RUN, "f85e5bc176ce4f7e1a59f1f6596c383370f8abb2f1668c77d06265a51d10b4f2"),
+    ("xcorr", FROZEN_RUN, "2252369c08deb8bbe6ab11b8e5b2d545edbd6d433f5b071822a0b028ef12825b"),
+    ("autocorr", FROZEN_SPLIT, "c8fafae821512c35d75071d601a10f2d2380039c12266f121d551267fa0fa68f"),
+    ("heralded", FROZEN_SPLIT, "84df09dc24da5cc8d8ebea9f06f632e12cdc3d677640f5c4c5f3145780a40fc6"),
+    ("metrics", FROZEN_RUN, "67d25324ddfd53d745895ff109f7a26925163bd548a352d34b3189c338ca8ee2"),
+    ("sweep-power", FROZEN_SWEEP,
+     "bb1e5c61aad1561670d2eb8668492119a5899c6e8d5d186f2f2ab53ff5903eaa"),
+    ("sweep-window", FROZEN_RUN,
+     "aca7899b21016ffe6f9298bcd9180ec87c389186e0fdee17ee04cb5e44212859"),
+    ("cavity", FROZEN_RUN, "4c7b355c561b5a6f3ddbc23604821c4c638aaa1e2f0f9c95ce8d0d5cd8cf743c"),
+    ("report", FROZEN_RUN, "b4377c87becf8ed0e7f6e816a7ee455879fec73beed9af2d27ddeccf51696998"),
+])
+def test_cli_outputs_are_frozen(tmp_path, command, config_text, digest):
+    """Every subcommand's stdout and artifacts for a fixed (config, seed) keep
+    the bytes they had when these digests were taken; a change that alters
+    any output on purpose updates its digest and says why."""
+    assert _output_digest(tmp_path, command, config_text) == digest

@@ -183,6 +183,7 @@ def test_parse_errors_carry_line_numbers():
      ("floor_min_ns", "floor_max_ns")),
     ("[analysis]\nsignal_channel = 2\n", 2,
      ("herald_channel", "signal_channel", "partner_channel")),
+    ("[analysis]\nbin_ns = 7\n", 2, ("bin_ns", "tau_range_ns")),
 ])
 def test_value_errors_carry_line_numbers(text, lineno, keys):
     with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:

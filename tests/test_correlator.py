@@ -2,10 +2,14 @@
 streams."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import biphoton.correlator
 from biphoton.correlator import (
     AnalysisError,
     CorrelationHistogram,
@@ -299,6 +303,8 @@ def test_coincidence_metrics_errors():
         coincidence_metrics(stream, 2, 0, 100, 0.0)
     with pytest.raises(AnalysisError, match="herald channel 5"):
         coincidence_metrics(stream, 5, 0, 100, 0.5)
+    with pytest.raises(AnalysisError, match="window must be positive"):
+        coincidence_metrics(stream, 2, 0, 0, 0.5)
 
 
 def test_window_sweep_monotone_and_consistent():
@@ -313,7 +319,7 @@ def test_window_sweep_monotone_and_consistent():
     order = np.lexsort((c, t))
     stream = TagStream(t[order], c[order], validate=False)
     windows = [20_000, 50_000, 100_000, 200_000]
-    points = window_sweep(stream, 2, 0, windows, 0.5, center_ps=0)
+    points = window_sweep(stream, 2, 0, windows, 0.5)
     counts = [p.coincidence_count for p in points]
     assert counts == sorted(counts)
     assert [p.window_ps for p in points] == windows
@@ -333,6 +339,93 @@ def test_window_sweep_rejects_bad_windows():
         window_sweep(stream, 2, 0, [200, 100], 0.5)
     with pytest.raises(AnalysisError, match="positive"):
         window_sweep(stream, 2, 0, [], 0.5)
+
+
+# --- pair counts against brute-force enumeration ---------------------------------
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _soups(draw, min_heralds=1, horizon=3_000):
+    """Herald, signal and partner times (channels 2, 0 and 1) crowded into a
+    short span; the signal and partner channels may be empty."""
+    heralds, signals, partners = (
+        draw(st.lists(st.integers(0, horizon), min_size=size, max_size=60, unique=True))
+        for size in (min_heralds, 0, 0)
+    )
+    return heralds, signals, partners
+
+
+def _stream(heralds, signals, partners):
+    tags = sorted([(t, 2) for t in heralds] + [(t, 0) for t in signals] + [(t, 1) for t in partners])
+    times, channels = zip(*tags)
+    return TagStream(np.array(times), np.array(channels, dtype=np.uint8), validate=True)
+
+
+def _in_window(delay, window):
+    # the window centred at zero covers [-ceil(w/2), ceil(w/2))
+    return -((window + 1) // 2) <= delay < (window + 1) // 2
+
+
+def _window_pairs(heralds, signals, window):
+    return sum(_in_window(s - h, window) for h in heralds for s in signals)
+
+
+@_PROPERTY
+@given(_soups(), st.integers(1, 500))
+def test_coincidence_counts_match_pair_enumeration(soup, window):
+    heralds, signals, partners = soup
+    stream = _stream(heralds, signals, partners)
+    if stream.span_ps == 0:
+        with pytest.raises(AnalysisError, match="spans no time"):
+            coincidence_metrics(stream, 2, 0, window, 0.5)
+        return
+    metrics = coincidence_metrics(stream, 2, 0, window, 0.5)
+    assert metrics.coincidence_count == _window_pairs(heralds, signals, window)
+    assert metrics.signal_count == len(signals)
+
+
+@_PROPERTY
+@given(_soups(), st.lists(st.integers(1, 400), min_size=1, max_size=5).map(sorted), st.data())
+def test_window_sweep_counts_match_pair_enumeration_for_any_worker_count(soup, windows, data):
+    heralds, signals, partners = soup
+    # one far herald-signal pair in the floor region, outside every window, so
+    # the g2 normalisation always has a floor count
+    heralds, signals = heralds + [20_000], signals + [21_000]
+    stream = _stream(heralds, signals, partners)
+    bin_width = data.draw(st.integers(1, windows[0]))
+    expected = [_window_pairs(heralds, signals, w) for w in windows]
+    with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", 4):
+        for workers in (1, 2, 4):
+            points = window_sweep(
+                stream, 2, 0, windows, 0.5, bin_width_ps=bin_width,
+                floor_region_ps=(500, 5_000), workers=workers,
+            )
+            assert [p.coincidence_count for p in points] == expected
+            assert [p.heralding_efficiency for p in points] == [
+                c / len(heralds) / 0.5 for c in expected
+            ]
+
+
+@_PROPERTY
+@given(_soups(min_heralds=9), st.integers(1, 500), st.integers(1, 4))
+def test_heralded_orders_match_enumeration(soup, window, n_max):
+    heralds, signals, partners = soup
+    stream = _stream(heralds, signals, partners)
+    heralds = sorted(heralds)
+    a = [any(_in_window(t - h, window) for t in signals) for h in heralds]
+    b = [any(_in_window(t - h, window) for t in partners) for h in heralds]
+    expected = [
+        sum(a[k] and b[k + n] for k in range(len(heralds)) if 0 <= k + n < len(heralds))
+        for n in range(-n_max, n_max + 1)
+    ]
+    if sum(expected) == expected[n_max]:
+        with pytest.raises(AnalysisError, match="cannot normalize"):
+            heralded_autocorrelation(stream, 2, 0, 1, window, n_max=n_max)
+    else:
+        result = heralded_autocorrelation(stream, 2, 0, 1, window, n_max=n_max)
+        assert result.histogram.counts.tolist() == expected
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -214,6 +214,22 @@ def test_flat_data_reports_no_convergence():
         assert math.isnan(fit.g2_zero_err())
 
 
+def test_degenerate_solution_is_not_converged():
+    """This Poisson draw of a sparse bunching peak drives the solver to a peak
+    outside the histogram with zero errors on contrast and position; such a
+    fit must not count as converged, so its g2(0) is NaN, not a value with
+    zero error."""
+    tau = _centers(-5_500_000, 5_500_000)
+    mean = 0.3 * (1.0 + np.exp(-np.abs(tau) / 60e-9))
+    counts = np.random.default_rng(12).poisson(mean).astype(np.int64)
+    hist = CorrelationHistogram(BW, -5_500_000, 5_500_000, counts, 0, 1, 1, 1, 10**12)
+    fit = fit_symmetric_exponential(hist)
+    assert fit.param("tau0_s") < -5.5e-6
+    assert not fit.converged
+    assert math.isnan(fit.g2_zero())
+    assert math.isnan(fit.g2_zero_err())
+
+
 def test_explicit_initial_guesses_are_honored():
     hist = _double_hist()
     default = fit_double_exponential(hist)
