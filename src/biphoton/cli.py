@@ -19,7 +19,6 @@ import contextlib
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -314,9 +313,8 @@ def _model_g2_si(cfg: ExperimentConfig, pump_mw: float) -> float:
 
 def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     """repeat the correlation measurements across pump powers"""
-
-    def run_point(index: int) -> tuple:
-        pump = cfg.powers_mw[index]
+    rows = []
+    for index, pump in enumerate(cfg.powers_mw):
         seed = cfg.seed * 10007 + 2 * index
         # coincidence arrangement: the full signal arm on detector A; its g2
         # is a one-worker histogram read at zero delay, without a fit
@@ -333,17 +331,10 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
             cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1
         )
         iss = heralded(cfg, stream_h)
-        return (
+        rows.append((
             pump, met.coincidence_count, met.coincidence_rate_hz, met.heralding_efficiency,
             g2.value, g2.uncertainty, _model_g2_si(cfg, pump), iss.value, iss.uncertainty,
-        )
-
-    indices = range(len(cfg.powers_mw))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(run_point, indices))
-    else:
-        rows = [run_point(i) for i in indices]
+        ))
     columns = (
         "power_mw,coincidences,coincidence_rate_hz,eta_h,"
         "g2_si,g2_si_err,g2_si_model,g2_iss,g2_iss_err"
@@ -354,12 +345,11 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
 
 def cmd_sweep_window(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
     """coincidence rate, efficiency and g2 versus window width"""
-    windows_ps = [int(round(w * 1000)) for w in cfg.windows_ns]
     points = window_sweep(
         stream,
         cfg.herald_channel,
         cfg.signal_channel,
-        windows_ps,
+        cfg.windows_ps,
         eta_det_s=cfg.detector_a_efficiency,
         bin_width_ps=cfg.bin_ps,
         floor_region_ps=cfg.floor_region_ps,

@@ -154,9 +154,11 @@ class ExperimentConfig:
             raise ConfigError("sweep point duration must be positive", ("point_duration_s",))
         if self.seed < 0:
             raise ConfigError("seed must be non-negative", ("seed",))
-        for name in ("bin_ns", "window_ns", "tau_range_ns", "g2_divisor"):
+        for name in ("bin_ns", "tau_range_ns", "g2_divisor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive", (name,))
+        if self.window_ps <= 0:
+            raise ConfigError("window_ns must be positive in whole picoseconds", ("window_ns",))
         if self.bin_ps <= 0 or 2 * self.tau_range_ps[1] % self.bin_ps:
             raise ConfigError("bin_ns must divide 2 * tau_range_ns", ("bin_ns", "tau_range_ns"))
         if not 0 < self.floor_min_ns < self.floor_max_ns:
@@ -173,8 +175,10 @@ class ExperimentConfig:
             raise ConfigError("channels must fit in a byte", channel_keys)
         if not self.powers_mw or any(p <= 0 for p in self.powers_mw):
             raise ConfigError("sweep powers must be positive", ("powers_mw",))
-        if not self.windows_ns or any(w <= 0 for w in self.windows_ns):
-            raise ConfigError("sweep windows must be positive", ("windows_ns",))
+        if not self.windows_ns or any(w <= 0 for w in self.windows_ps):
+            raise ConfigError(
+                "sweep windows must be positive in whole picoseconds", ("windows_ns",)
+            )
         if list(self.windows_ns) != sorted(self.windows_ns):
             raise ConfigError("sweep windows must be ascending", ("windows_ns",))
         if self.workers < 1:
@@ -250,6 +254,10 @@ class ExperimentConfig:
     @property
     def window_ps(self) -> int:
         return int(round(self.window_ns * 1000))
+
+    @property
+    def windows_ps(self) -> list[int]:
+        return [int(round(w * 1000)) for w in self.windows_ns]
 
     @property
     def tau_range_ps(self) -> tuple[int, int]:

@@ -130,10 +130,11 @@ def _histogram(
 
 
 def _window_offsets(window: int) -> tuple[int, int]:
-    """Integer delay bounds [lo, hi) covering the window centred at zero delay."""
+    """Integer delay bounds [lo, hi) of the window centred at zero delay: its
+    ``window`` delays, the odd one out of an odd width on the positive side."""
     if window <= 0:
         raise AnalysisError("window must be positive")
-    return math.floor(-window / 2), math.ceil(window / 2)
+    return -(window // 2), window - window // 2
 
 
 def _window_counts(

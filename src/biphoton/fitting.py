@@ -283,23 +283,17 @@ def _half_width(tau: np.ndarray, counts: np.ndarray, peak: int, floor: float, si
     return abs(tau[j] - tau[peak])
 
 
-def fit_double_exponential(
-    hist: CorrelationHistogram, tau0_init_s: float | None = None
-) -> FitResult:
+def fit_double_exponential(hist: CorrelationHistogram) -> FitResult:
     """Fit the two-sided exponential peak model to a delay histogram.
 
     The fall side (positive delays beyond the peak) and rise side carry
     independent rate parameters; both are reported as linewidths in Hz.
-    ``tau0_init_s`` overrides the automatic peak-position start value.
     """
     tau = hist.bin_centers_ps * 1e-12
     counts = hist.counts.astype(float)
     bin_s = hist.bin_width_ps * 1e-12
     floor = _floor_estimate(counts)
-    if tau0_init_s is None:
-        peak = int(np.argmax(_smoothed(counts)))
-    else:
-        peak = int(np.argmin(np.abs(tau - tau0_init_s)))
+    peak = int(np.argmax(_smoothed(counts)))
     amp = counts[peak] - floor
     if amp <= 0 or counts.size < 8:
         init = np.array([max(amp, 1.0), 1e6, 1e6, tau[peak], max(floor, 0.0)])
@@ -314,40 +308,28 @@ def fit_double_exponential(
     )
 
 
-def fit_symmetric_exponential(
-    hist: CorrelationHistogram,
-    tau0_init_s: float | None = None,
-    decay_init_s: float | None = None,
-) -> FitResult:
+def fit_symmetric_exponential(hist: CorrelationHistogram) -> FitResult:
     """Fit a symmetric exponential bunching peak, floor * (1 + A e^(-|d|/tau)).
 
     The contrast A estimates g2(0) - 1 directly because the floor is the
-    accidental level of the same histogram.  Bunching peaks often rise only a
-    few percent above a noisy floor, so the start position comes from a
-    smoothed copy of the counts; pass ``tau0_init_s`` (and optionally
-    ``decay_init_s``) when the peak location is known.
+    accidental level of the same histogram.
     """
     tau = hist.bin_centers_ps * 1e-12
     counts = hist.counts.astype(float)
     bin_s = hist.bin_width_ps * 1e-12
     floor = _floor_estimate(counts)
     smooth = _smoothed(counts)
-    if tau0_init_s is None:
-        peak = int(np.argmax(smooth))
-    else:
-        peak = int(np.argmin(np.abs(tau - tau0_init_s)))
+    peak = int(np.argmax(smooth))
     contrast = smooth[peak] / floor - 1.0 if floor > 0 else 0.0
     if floor <= 0 or contrast <= 0 or counts.size < 8:
         init = np.array([max(floor, 1.0), 0.1, 1e-7, tau[peak]])
         return _not_started(SYMMETRIC_EXPONENTIAL, init)
-    if decay_init_s is None:
-        width = max(
-            _half_width(tau, smooth, peak, floor, +1),
-            _half_width(tau, smooth, peak, floor, -1),
-            bin_s,
-        )
-        decay_init_s = width / LN2
-    init = np.array([floor, contrast, decay_init_s, tau[peak]])
+    width = max(
+        _half_width(tau, smooth, peak, floor, +1),
+        _half_width(tau, smooth, peak, floor, -1),
+        bin_s,
+    )
+    init = np.array([floor, contrast, width / LN2, tau[peak]])
     return _solve(
         SYMMETRIC_EXPONENTIAL, tau, counts, init, bin_s, tau0_index=3, positive=(0, 1, 2)
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DetectorSpec, ModelError, biphoton_from_linewidths
-from .tagstream import GateSpec, TagStream
+from .tagstream import TagStream
 
 CHANNEL_SIGNAL_A = 0
 CHANNEL_SIGNAL_B = 1
@@ -52,6 +52,32 @@ _SALT_PAIRS = 11
 _SALT_DARKS = 29
 _SALT_UNPAIRED_SIGNAL = 41
 _SALT_UNPAIRED_IDLER = 43
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """Periodic measurement gate (e.g. a chopped cavity lock).
+
+    ``period_ps`` is the full cycle, ``duty`` the open fraction, ``phase_ps``
+    the start of the open window within the cycle.
+    """
+
+    period_ps: int
+    duty: float = 0.5
+    phase_ps: int = 0
+
+    def __post_init__(self) -> None:
+        if self.period_ps <= 0:
+            raise ValueError("gate period must be positive")
+        if not 0.0 < self.duty <= 1.0:
+            raise ValueError(f"gate duty must lie in (0, 1], got {self.duty}")
+
+    @property
+    def open_ps(self) -> int:
+        return int(round(self.duty * self.period_ps))
+
+    def open_mask(self, times_ps: np.ndarray) -> np.ndarray:
+        return ((times_ps - self.phase_ps) % self.period_ps) < self.open_ps
 
 
 @dataclass(frozen=True)

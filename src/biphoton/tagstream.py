@@ -2,8 +2,7 @@
 
 A tag stream is a time-ordered sequence of detector events, each carrying an
 integer timestamp (multiples of the tagger resolution, 1 ps by default), a
-channel number and a flags byte.  Streams are immutable once constructed;
-merging and gating return new streams.
+channel number and a flags byte.  Streams are immutable once constructed.
 
 Binary file layout (little-endian):
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple
 
@@ -294,83 +292,5 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         channels.copy(),
         records["flags"].copy(),
         resolution_ps=resolution_ps,
-        validate=False,
-    )
-
-
-def merge_streams(a: TagStream, b: TagStream) -> TagStream:
-    """Merge two streams into one time-ordered stream.
-
-    Resolutions must match.  Channel labels are united; conflicting labels for
-    the same channel raise :class:`TagStreamError`.  Simultaneous tags are
-    ordered by channel number, so merging is symmetric and associative.
-    """
-    if a.resolution_ps != b.resolution_ps:
-        raise TagStreamError(
-            f"cannot merge streams with resolutions {a.resolution_ps} and {b.resolution_ps} ps"
-        )
-    labels = dict(a.channel_labels)
-    for ch, role in b.channel_labels.items():
-        if labels.setdefault(ch, role) != role:
-            raise TagStreamError(f"conflicting labels for channel {ch}: {labels[ch]!r} vs {role!r}")
-    times = np.concatenate([a.times, b.times])
-    channels = np.concatenate([a.channels, b.channels])
-    flags = np.concatenate([a.flags, b.flags])
-    order = np.lexsort((channels, times))
-    return TagStream(
-        times[order],
-        channels[order],
-        flags[order],
-        resolution_ps=a.resolution_ps,
-        channel_labels=labels,
-    )
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """Periodic measurement gate (e.g. a chopped cavity lock).
-
-    ``period_ps`` is the full cycle, ``duty`` the open fraction, ``phase_ps``
-    the start of the open window within the cycle.
-    """
-
-    period_ps: int
-    duty: float = 0.5
-    phase_ps: int = 0
-
-    def __post_init__(self) -> None:
-        if self.period_ps <= 0:
-            raise ValueError("gate period must be positive")
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError(f"gate duty must lie in (0, 1], got {self.duty}")
-
-    @property
-    def open_ps(self) -> int:
-        return int(round(self.duty * self.period_ps))
-
-    def open_mask(self, times_ps: np.ndarray) -> np.ndarray:
-        return ((times_ps - self.phase_ps) % self.period_ps) < self.open_ps
-
-
-def gate_tags(stream: TagStream, gate: GateSpec, keep_open: bool = True) -> TagStream:
-    """Keep only tags inside (or outside) the open phase of a periodic gate.
-
-    The open and closed selections partition the stream: merging them
-    reproduces the input exactly.
-    """
-    phase_units, rem_p = divmod(gate.phase_ps, stream.resolution_ps)
-    period_units, rem_q = divmod(gate.period_ps, stream.resolution_ps)
-    if rem_p or rem_q:
-        raise TagStreamError("gate period and phase must be multiples of the stream resolution")
-    unit_gate = GateSpec(period_units, gate.duty, phase_units)
-    mask = unit_gate.open_mask(stream.times)
-    if not keep_open:
-        mask = ~mask
-    return TagStream(
-        stream.times[mask],
-        stream.channels[mask],
-        stream.flags[mask],
-        resolution_ps=stream.resolution_ps,
-        channel_labels=dict(stream.channel_labels),
         validate=False,
     )

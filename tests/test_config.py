@@ -96,6 +96,7 @@ def test_analysis_unit_properties():
     cfg = ExperimentConfig()
     assert cfg.bin_ps == 5_000
     assert cfg.window_ps == 400_000
+    assert cfg.windows_ps == [50_000, 100_000, 200_000, 400_000, 600_000, 800_000]
     assert cfg.tau_range_ps == (-5_500_000, 5_500_000)
     assert cfg.floor_region_ps == (1_000_000, 5_000_000)
 
@@ -184,6 +185,8 @@ def test_parse_errors_carry_line_numbers():
     ("[analysis]\nsignal_channel = 2\n", 2,
      ("herald_channel", "signal_channel", "partner_channel")),
     ("[analysis]\nbin_ns = 7\n", 2, ("bin_ns", "tau_range_ns")),
+    ("[analysis]\nwindow_ns = 0.0004\n", 2, ("window_ns",)),
+    ("[sweep]\nwindows_ns = 0.0004, 100\n", 2, ("windows_ns",)),
 ])
 def test_value_errors_carry_line_numbers(text, lineno, keys):
     with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:

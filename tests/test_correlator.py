@@ -307,6 +307,12 @@ def test_coincidence_metrics_errors():
         coincidence_metrics(stream, 2, 0, 0, 0.5)
 
 
+@pytest.mark.parametrize("delay,expected", [(-1, 0), (0, 1), (1, 0)])
+def test_one_ps_window_counts_only_zero_delay(delay, expected):
+    stream = _stream([10, 1_000], [10 + delay], [])
+    assert coincidence_metrics(stream, 2, 0, 1, 0.5).coincidence_count == expected
+
+
 def test_window_sweep_monotone_and_consistent():
     rng = np.random.default_rng(61)
     duration = 10**10
@@ -364,8 +370,8 @@ def _stream(heralds, signals, partners):
 
 
 def _in_window(delay, window):
-    # the window centred at zero covers [-ceil(w/2), ceil(w/2))
-    return -((window + 1) // 2) <= delay < (window + 1) // 2
+    # the window centred at zero covers the w delays [-(w // 2), w - w // 2)
+    return -(window // 2) <= delay < window - window // 2
 
 
 def _window_pairs(heralds, signals, window):
@@ -384,6 +390,11 @@ def test_coincidence_counts_match_pair_enumeration(soup, window):
     metrics = coincidence_metrics(stream, 2, 0, window, 0.5)
     assert metrics.coincidence_count == _window_pairs(heralds, signals, window)
     assert metrics.signal_count == len(signals)
+    # one herald with a signal at every delay in [-w, w]: the window holds w of them
+    delays = range(-window, window + 1)
+    assert sum(_in_window(d, window) for d in delays) == window
+    comb = _stream([window], [window + d for d in delays], [])
+    assert coincidence_metrics(comb, 2, 0, window, 0.5).coincidence_count == window
 
 
 @_PROPERTY

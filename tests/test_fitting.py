@@ -230,21 +230,6 @@ def test_degenerate_solution_is_not_converged():
     assert math.isnan(fit.g2_zero_err())
 
 
-def test_explicit_initial_guesses_are_honored():
-    hist = _double_hist()
-    default = fit_double_exponential(hist)
-    guided = fit_double_exponential(hist, tau0_init_s=2e-9)
-    assert guided.converged
-    assert guided.param("tau0_s") == pytest.approx(default.param("tau0_s"), abs=1e-12)
-
-    tau = _centers(-1_000_000, 1_000_000)
-    counts = np.rint(200.0 * (1.0 + np.exp(-np.abs(tau) / 100e-9))).astype(np.int64)
-    sym_hist = CorrelationHistogram(BW, -1_000_000, 1_000_000, counts, 0, 1, 1, 1, 10**12)
-    guided_sym = fit_symmetric_exponential(sym_hist, tau0_init_s=1e-8, decay_init_s=5e-8)
-    assert guided_sym.converged
-    assert guided_sym.fwhm_s() == pytest.approx(2.0 * math.log(2) * 100e-9, rel=5e-3)
-
-
 # --- result object ----------------------------------------------------------------
 
 

@@ -13,12 +13,12 @@ from biphoton.simulator import (
     CHANNEL_IDLER,
     CHANNEL_SIGNAL_A,
     CHANNEL_SIGNAL_B,
+    GateSpec,
     SourceParams,
     cluster_spectrum,
     effective_mode_number,
     simulate_source,
 )
-from biphoton.tagstream import GateSpec
 
 
 def test_simulation_is_deterministic_per_seed():
@@ -192,6 +192,34 @@ def test_pair_correlations_can_be_disabled():
 
 
 # --- gating and dead time -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gate, open_ps, opened, closed",
+    [
+        (
+            GateSpec(period_ps=100, duty=0.5, phase_ps=30), 50,
+            [30, 79, 130, 179], [29, 80, 129, 180],
+        ),
+        # duty 1 opens every time, before the phase too
+        (GateSpec(period_ps=777, duty=1.0, phase_ps=12), 777, list(range(2_000)), []),
+    ],
+    ids=["half-duty", "full-duty"],
+)
+def test_gate_open_mask_respects_phase(gate, open_ps, opened, closed):
+    mask = gate.open_mask(np.arange(2_000))
+    assert mask[opened].all()
+    assert not mask[closed].any()
+    assert gate.open_ps == open_ps
+
+
+def test_gate_spec_validation():
+    with pytest.raises(ValueError):
+        GateSpec(period_ps=0)
+    with pytest.raises(ValueError):
+        GateSpec(period_ps=100, duty=0.0)
+    with pytest.raises(ValueError):
+        GateSpec(period_ps=100, duty=1.5)
 
 
 def test_gated_source_confines_idler_tags_to_open_windows():

@@ -1,5 +1,5 @@
-"""Round-trip, validation and gating behavior of the time-tag container and
-its binary file format."""
+"""Round-trip and validation behavior of the time-tag container and its
+binary file format."""
 
 import io
 import struct
@@ -13,23 +13,20 @@ from biphoton.tagstream import (
     MAGIC,
     RECORD_DTYPE,
     FormatError,
-    GateSpec,
     MonotonicityError,
     TagStream,
     TagStreamError,
     TimeTag,
-    gate_tags,
-    merge_streams,
     read_tags,
     write_tags,
 )
 
 
-def _random_stream(n, seed, resolution_ps=1, channel_base=0):
+def _random_stream(n, seed, resolution_ps=1):
     rng = np.random.default_rng(seed)
     gaps = rng.integers(1, 2_000, size=n, dtype=np.int64)
     times = np.cumsum(gaps)
-    channels = channel_base + rng.integers(0, 4, size=n, dtype=np.int64)
+    channels = rng.integers(0, 4, size=n, dtype=np.int64)
     flags = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
     return TagStream(times, channels.astype(np.uint8), flags, resolution_ps=resolution_ps)
 
@@ -215,108 +212,3 @@ def test_from_tags_and_accessors():
 def test_span_uses_resolution():
     stream = TagStream([100, 400], [0, 1], resolution_ps=8)
     assert stream.span_ps == 2400
-
-
-# --- merging ---------------------------------------------------------------
-
-
-def test_merge_matches_lexsort_oracle():
-    a = _random_stream(5_000, seed=9)
-    b = _random_stream(5_000, seed=10, channel_base=4)
-    merged = merge_streams(a, b)
-    times = np.concatenate([a.times, b.times])
-    channels = np.concatenate([a.channels, b.channels])
-    order = np.lexsort((channels, times))
-    assert np.array_equal(merged.times, times[order])
-    assert np.array_equal(merged.channels, channels[order])
-
-
-def test_merge_is_symmetric():
-    a = _random_stream(2_000, seed=11)
-    b = _random_stream(2_000, seed=12, channel_base=4)
-    ab = merge_streams(a, b)
-    ba = merge_streams(b, a)
-    assert np.array_equal(ab.times, ba.times)
-    assert np.array_equal(ab.channels, ba.channels)
-    assert np.array_equal(ab.flags, ba.flags)
-
-
-def test_merge_rejects_colliding_records():
-    a = TagStream([10, 20], [0, 1])
-    b = TagStream([20], [1])
-    with pytest.raises(TagStreamError, match="duplicate"):
-        merge_streams(a, b)
-
-
-def test_merge_rejects_resolution_mismatch():
-    a = TagStream([1], [0], resolution_ps=1)
-    b = TagStream([1], [1], resolution_ps=4)
-    with pytest.raises(TagStreamError, match="resolutions"):
-        merge_streams(a, b)
-
-
-def test_merge_rejects_conflicting_labels():
-    a = TagStream([1], [0], channel_labels={0: "alice"})
-    b = TagStream([2], [0], channel_labels={0: "bob"})
-    with pytest.raises(TagStreamError, match="conflicting"):
-        merge_streams(a, b)
-
-
-def test_merge_unites_labels():
-    a = TagStream([1], [0], channel_labels={0: "alice"})
-    b = TagStream([2], [5], channel_labels={5: "eve"})
-    merged = merge_streams(a, b)
-    assert merged.channel_labels == {0: "alice", 5: "eve"}
-
-
-# --- gating ----------------------------------------------------------------
-
-
-def test_gate_partitions_stream():
-    stream = _random_stream(50_000, seed=13)
-    gate = GateSpec(period_ps=100_000, duty=0.3, phase_ps=12_345)
-    kept = gate_tags(stream, gate)
-    dropped = gate_tags(stream, gate, keep_open=False)
-    assert len(kept) + len(dropped) == len(stream)
-    back = merge_streams(kept, dropped)
-    assert np.array_equal(back.times, stream.times)
-    assert np.array_equal(back.channels, stream.channels)
-    assert np.array_equal(back.flags, stream.flags)
-
-
-def test_gate_keeps_roughly_the_duty_fraction():
-    stream = _random_stream(200_000, seed=14)
-    gate = GateSpec(period_ps=10_000, duty=0.25)
-    kept = gate_tags(stream, gate)
-    fraction = len(kept) / len(stream)
-    assert abs(fraction - 0.25) < 0.01
-
-
-def test_gate_open_mask_respects_phase():
-    gate = GateSpec(period_ps=100, duty=0.5, phase_ps=30)
-    times = np.arange(0, 200)
-    mask = gate.open_mask(times)
-    assert mask[30] and mask[79]
-    assert not mask[29] and not mask[80]
-    assert gate.open_ps == 50
-
-
-def test_gate_requires_resolution_multiples():
-    stream = TagStream([10, 20], [0, 1], resolution_ps=8)
-    with pytest.raises(TagStreamError, match="multiples"):
-        gate_tags(stream, GateSpec(period_ps=100, duty=0.5))
-
-
-def test_gate_spec_validation():
-    with pytest.raises(ValueError):
-        GateSpec(period_ps=0)
-    with pytest.raises(ValueError):
-        GateSpec(period_ps=100, duty=0.0)
-    with pytest.raises(ValueError):
-        GateSpec(period_ps=100, duty=1.5)
-
-
-def test_full_duty_gate_keeps_everything():
-    stream = _random_stream(1_000, seed=15)
-    kept = gate_tags(stream, GateSpec(period_ps=777, duty=1.0))
-    assert len(kept) == len(stream)
