@@ -234,14 +234,12 @@ def cmd_heralded(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
     result = heralded(cfg, stream)
     hist = result.histogram
     path = save("heralded_orders.csv", partial(write_fasel_csv, hist))
-    h0 = hist.counts[list(hist.orders).index(0)]
-    others = (hist.counts.sum() - h0) / (len(hist.counts) - 1)
     return [
         ("heralds", hist.herald_count),
         ("window_ns", cfg.window_ns),
         ("orders", path),
-        ("h0", int(h0)),
-        ("h_other_mean", others),
+        ("h0", result.h0),
+        ("h_other_mean", result.h_other_mean),
         ("g2_iss", result.value),
         ("g2_iss_err", result.uncertainty),
     ]

@@ -154,14 +154,18 @@ class ExperimentConfig:
             raise ConfigError("sweep point duration must be positive", ("point_duration_s",))
         if self.seed < 0:
             raise ConfigError("seed must be non-negative", ("seed",))
-        for name in ("bin_ns", "tau_range_ns", "g2_divisor"):
+        for name in ("bin_ns", "g2_divisor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive", (name,))
         if self.window_ps <= 0:
             raise ConfigError("window_ns must be positive in whole picoseconds", ("window_ns",))
+        if self.tau_range_ps[1] <= 0:
+            raise ConfigError(
+                "tau_range_ns must be positive in whole picoseconds", ("tau_range_ns",)
+            )
         if self.bin_ps <= 0 or 2 * self.tau_range_ps[1] % self.bin_ps:
             raise ConfigError("bin_ns must divide 2 * tau_range_ns", ("bin_ns", "tau_range_ns"))
-        if not 0 < self.floor_min_ns < self.floor_max_ns:
+        if not 0 < self.floor_region_ps[0] < self.floor_region_ps[1]:
             raise ConfigError(
                 "floor region must satisfy 0 < min < max", ("floor_min_ns", "floor_max_ns")
             )

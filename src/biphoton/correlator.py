@@ -89,15 +89,6 @@ class CorrelationHistogram:
         return self.counts / acc
 
 
-def _require_picosecond_resolution(stream: TagStream) -> None:
-    # delay windows and bin widths are picosecond integers; coarser streams
-    # would silently shift every delay, so refuse them instead
-    if stream.resolution_ps != 1:
-        raise AnalysisError(
-            f"correlation analysis expects 1 ps resolution tags, got {stream.resolution_ps} ps"
-        )
-
-
 def _stop_ranges(
     starts: np.ndarray, stops: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +154,6 @@ def cross_correlation_histogram(
 ) -> CorrelationHistogram:
     """Multi-stop delay histogram of ``stop_channel`` relative to
     ``start_channel``; ``workers`` threads give bit-identical counts."""
-    _require_picosecond_resolution(stream)
     tau_min, tau_max = (int(t) for t in tau_range_ps)
     bin_width = int(bin_width_ps)
     if bin_width <= 0:
@@ -297,6 +287,8 @@ class HeraldedG2:
     histogram: FaselHistogram
     value: float
     uncertainty: float
+    h0: int
+    h_other_mean: float
 
 
 def heralded_autocorrelation(
@@ -316,7 +308,6 @@ def heralded_autocorrelation(
     """
     if n_max < 1:
         raise AnalysisError("n_max must be at least 1")
-    _require_picosecond_resolution(stream)
     window = int(window_ps)
     heralds = stream.channel_times(herald_channel)
     if heralds.size < 2 * n_max + 1:
@@ -351,7 +342,9 @@ def heralded_autocorrelation(
     else:
         # Poisson scale of a zero count in the numerator
         uncertainty = 1.0 / mean_other
-    return HeraldedG2(histogram=fasel, value=value, uncertainty=uncertainty)
+    return HeraldedG2(
+        histogram=fasel, value=value, uncertainty=uncertainty, h0=h0, h_other_mean=mean_other
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +382,6 @@ def coincidence_metrics(
     The accidental-corrected variant subtracts the stationary expectation
     herald_rate * signal_rate * window before normalizing.
     """
-    _require_picosecond_resolution(stream)
     if not 0.0 < eta_det_s <= 1.0:
         raise AnalysisError("signal detector efficiency must lie in (0, 1]")
     heralds = stream.channel_times(herald_channel)

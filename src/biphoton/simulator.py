@@ -34,16 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DetectorSpec, ModelError, biphoton_from_linewidths
-from .tagstream import TagStream
+from .tagstream import DEFAULT_ROLES, TagStream
 
 CHANNEL_SIGNAL_A = 0
 CHANNEL_SIGNAL_B = 1
 CHANNEL_IDLER = 2
-CHANNEL_LABELS = {
-    CHANNEL_SIGNAL_A: "signal-A",
-    CHANNEL_SIGNAL_B: "signal-B",
-    CHANNEL_IDLER: "idler",
-}
 
 _PS_PER_S = 10**12
 _SLOTS_PER_BLOCK = 1 << 22
@@ -378,7 +373,7 @@ def _apply_dead_time(times: np.ndarray, channels: np.ndarray, params: SourcePara
 def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagStream:
     """Generate the detection record of a measurement run.
 
-    Returns a 1 ps resolution stream on channels signal-A, signal-B and
+    Returns a picosecond stream on channels signal-A, signal-B and
     idler.  With ``params.pair_correlations`` False the signal and idler
     photons come from two independent realizations of the same thermal
     process: each arm keeps its singles rates and bunching, but there are no
@@ -426,9 +421,8 @@ def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagSt
         times = times[distinct]
         channels = channels[distinct]
     times, channels = _apply_dead_time(times, channels, params)
-    return TagStream(
-        times, channels, resolution_ps=1, channel_labels=dict(CHANNEL_LABELS), validate=False
-    )
+    roles = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
+    return TagStream(times, channels, channel_labels={c: DEFAULT_ROLES[c] for c in roles})
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,27 @@
 """Time-tag streams and the binary tag-file format.
 
 A tag stream is a time-ordered sequence of detector events, each carrying an
-integer timestamp (multiples of the tagger resolution, 1 ps by default), a
-channel number and a flags byte.  Streams are immutable once constructed.
+integer picosecond timestamp, a channel number and a flags byte.  Streams are
+immutable once constructed.  The ordering rule (non-decreasing times,
+simultaneous records in ascending channel order, so no duplicate
+``(time, channel)`` record) is checked in one place, the constructor, and
+the file reader reports its first violation as a :class:`MonotonicityError`.
 
 Binary file layout (little-endian):
 
     header  4s  magic "BPTT"
             u16 format version (currently 1)
             u16 reserved
-            u32 timestamp resolution in picoseconds
+            u32 timestamp resolution in picoseconds (must be 1)
             u32 channel count
             u64 record count
-    record  u64 timestamp (units of the resolution)
+    record  u64 timestamp in picoseconds (at most 2^63 - 1)
             u8  channel
             u8  flags
             u16 reserved
             u32 reserved
 
-Records are stored in non-decreasing time order; simultaneous records on
-distinct channels are ordered by ascending channel number.  The header carries
+Records are stored in the stream's order.  The header carries
 no channel-label table, so labels are restored by the conventional mapping
 (0 signal-A, 1 signal-B, 2 idler, 3 trigger, higher channels "ch<n>").
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import io
 import struct
 from types import MappingProxyType
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 import numpy as np
 
@@ -49,14 +51,16 @@ RECORD_DTYPE = np.dtype(
 #: conventional channel numbering used by the simulator and restored on read
 DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
-# u64 picoseconds overflow after ~213 days; enforced when writing
-MAX_TIME = 2**64 - 1
-# streams hold int64 times, so the reader rejects anything above this
-INT64_MAX = 2**63 - 1
-
 
 class TagStreamError(ValueError):
-    """Invalid in-memory stream (unsorted, bad channel, duplicate record)."""
+    """Invalid in-memory stream (unsorted, bad channel, duplicate record).
+
+    ``index`` is the first record that breaks the ordering rule, if one does.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        self.index = index
+        super().__init__(message)
 
 
 class FormatError(ValueError):
@@ -71,10 +75,17 @@ class MonotonicityError(FormatError):
         super().__init__(f"record {index} breaks time ordering")
 
 
-class TimeTag(NamedTuple):
-    time: int
-    channel: int
-    flags: int = 0
+def _first_disorder(times: np.ndarray, channels: np.ndarray) -> int:
+    """Index of the first record not strictly after its predecessor in
+    ``(time, channel)`` order, or 0 when every record is.  Adjacent
+    comparisons only, so no difference array is allocated."""
+    back = times[1:] < times[:-1]
+    first = int(np.argmax(back)) + 1 if back.any() else times.size
+    ties = np.flatnonzero(times[1:first] == times[: first - 1])
+    ties = ties[channels[ties] >= channels[ties + 1]]
+    if ties.size:
+        return int(ties[0]) + 1
+    return first if first < times.size else 0
 
 
 def _default_labels(channels: np.ndarray) -> dict[int, str]:
@@ -88,26 +99,27 @@ class TagStream:
     Parameters
     ----------
     times : array-like of int
-        Timestamps in units of ``resolution_ps``.  Must be non-decreasing.
+        Timestamps in picoseconds.  Must be non-negative and non-decreasing.
     channels : array-like of int
-        Channel number per tag (0..255).
+        Channel number per tag (0..255); simultaneous tags must be in
+        ascending channel order.
     flags : array-like of int, optional
         Flags byte per tag (defaults to zero).
-    resolution_ps : int
-        Timestamp resolution in picoseconds (default 1).
     channel_labels : mapping, optional
         channel -> role string.  Defaults to the conventional mapping for the
         channels present.
+    validate : bool
+        Check the ordering rule (default).  Only test data built to hold
+        known violations turns it off.
     """
 
-    __slots__ = ("_times", "_channels", "_flags", "_resolution_ps", "_labels")
+    __slots__ = ("_times", "_channels", "_flags", "_labels")
 
     def __init__(
         self,
         times,
         channels,
         flags=None,
-        resolution_ps: int = 1,
         channel_labels: dict[int, str] | None = None,
         validate: bool = True,
     ) -> None:
@@ -119,31 +131,21 @@ class TagStream:
             flags = np.ascontiguousarray(flags, dtype=np.uint8)
         if times.ndim != 1 or channels.shape != times.shape or flags.shape != times.shape:
             raise TagStreamError("times, channels and flags must be 1-D arrays of equal length")
-        if resolution_ps < 1:
-            raise TagStreamError(f"resolution must be a positive picosecond count, got {resolution_ps}")
         if validate and times.size:
             if times[0] < 0:
                 raise TagStreamError("negative timestamps are not allowed")
-            dt = np.diff(times)
-            bad = np.nonzero(dt < 0)[0]
-            if bad.size:
-                raise TagStreamError(f"tags out of order at index {int(bad[0]) + 1}")
-            ties = np.nonzero(dt == 0)[0]
-            if ties.size:
-                ca = channels[ties]
-                cb = channels[ties + 1]
-                if np.any(ca == cb):
-                    i = int(ties[np.nonzero(ca == cb)[0][0]]) + 1
-                    raise TagStreamError(f"duplicate (time, channel) record at index {i}")
-                if np.any(ca > cb):
-                    i = int(ties[np.nonzero(ca > cb)[0][0]]) + 1
-                    raise TagStreamError(f"simultaneous tags not in channel order at index {i}")
+            i = _first_disorder(times, channels)
+            if i and times[i] < times[i - 1]:
+                raise TagStreamError(f"tags out of order at index {i}", i)
+            if i and channels[i] == channels[i - 1]:
+                raise TagStreamError(f"duplicate (time, channel) record at index {i}", i)
+            if i:
+                raise TagStreamError(f"simultaneous tags not in channel order at index {i}", i)
         for arr in (times, channels, flags):
             arr.setflags(write=False)
         self._times = times
         self._channels = channels
         self._flags = flags
-        self._resolution_ps = int(resolution_ps)
         if channel_labels is None:
             channel_labels = _default_labels(channels)
         self._labels = dict(channel_labels)
@@ -152,24 +154,6 @@ class TagStream:
 
     def __len__(self) -> int:
         return self._times.size
-
-    def __getitem__(self, i: int) -> TimeTag:
-        return TimeTag(int(self._times[i]), int(self._channels[i]), int(self._flags[i]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TagStream):
-            return NotImplemented
-        return (
-            self._resolution_ps == other._resolution_ps
-            and self._labels == other._labels
-            and np.array_equal(self._times, other._times)
-            and np.array_equal(self._channels, other._channels)
-            and np.array_equal(self._flags, other._flags)
-        )
-
-    def __repr__(self) -> str:
-        span = self.span_ps * 1e-12
-        return f"TagStream({len(self)} tags, {len(self._labels)} channels, {span:.3g} s span)"
 
     # -- accessors ------------------------------------------------------------------
 
@@ -186,10 +170,6 @@ class TagStream:
         return self._flags
 
     @property
-    def resolution_ps(self) -> int:
-        return self._resolution_ps
-
-    @property
     def channel_labels(self):
         return MappingProxyType(self._labels)
 
@@ -198,7 +178,7 @@ class TagStream:
         """Time between first and last tag, in picoseconds."""
         if not len(self):
             return 0
-        return int(self._times[-1] - self._times[0]) * self._resolution_ps
+        return int(self._times[-1] - self._times[0])
 
     def channel_times(self, channel: int) -> np.ndarray:
         """Timestamps of a single channel (sorted, read-only view copy)."""
@@ -212,16 +192,16 @@ def write_tags(stream: TagStream, destination) -> int:
     """Serialize a stream to the binary tag format.
 
     ``destination`` may be a path or a binary file object.  Returns the number
-    of bytes written.  Timestamps must fit an unsigned 64-bit integer.
+    of bytes written.  Timestamps must be non-negative.
     """
     times = stream.times
-    if times.size and (int(times[-1]) > MAX_TIME or int(times[0]) < 0):
+    if times.size and int(times[0]) < 0:
         raise TagStreamError("timestamps do not fit the unsigned 64-bit file format")
     header = HEADER_STRUCT.pack(
         MAGIC,
         FORMAT_VERSION,
         0,
-        stream.resolution_ps,
+        1,  # resolution_ps: stream times are picoseconds
         len(stream.channel_labels),
         len(stream),
     )
@@ -260,8 +240,8 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    if resolution_ps == 0:
-        raise FormatError("zero resolution in header")
+    if resolution_ps != 1:
+        raise FormatError(f"header resolution is {resolution_ps} ps; tag files must use 1 ps")
     size = record_count * RECORD_DTYPE.itemsize
     start = fh.tell()
     available = fh.seek(0, io.SEEK_END) - start
@@ -272,25 +252,14 @@ def _read_stream(fh: BinaryIO) -> TagStream:
             f"but {available} bytes of records follow it"
         )
     records = np.frombuffer(_read_exact(fh, size, "records"), dtype=RECORD_DTYPE)
-    raw_times = records["time"]
-    channels = records["channel"]
-    if record_count:
-        # compare in uint64; a decreasing step is caught directly, not via diff
-        order = raw_times[1:] < raw_times[:-1]
-        if np.any(order):
-            raise MonotonicityError(int(np.nonzero(order)[0][0]) + 1)
-        ties = np.nonzero(raw_times[1:] == raw_times[:-1])[0]
-        if ties.size and np.any(channels[ties] >= channels[ties + 1]):
-            bad = ties[np.nonzero(channels[ties] >= channels[ties + 1])[0][0]]
-            raise MonotonicityError(int(bad) + 1)
-        # the times are sorted, so the last one is the largest
-        if raw_times[-1] > INT64_MAX:
-            first = int(np.argmax(raw_times > INT64_MAX))
-            raise FormatError(f"record {first} has a timestamp above 2^63 - 1")
-    return TagStream(
-        raw_times.astype(np.int64),
-        channels.copy(),
-        records["flags"].copy(),
-        resolution_ps=resolution_ps,
-        validate=False,
-    )
+    # times above 2^63 - 1 wrap to negative int64 values, which always break
+    # the stream's check (a negative first time, or a step back), so the range
+    # is only examined once that check has failed
+    times = records["time"].astype(np.int64)
+    try:
+        return TagStream(times, records["channel"].copy(), records["flags"].copy())
+    except TagStreamError as exc:
+        if times.min() < 0:
+            first = int(np.argmax(times < 0))
+            raise FormatError(f"record {first} has a timestamp above 2^63 - 1") from None
+        raise MonotonicityError(exc.index) from None

@@ -246,6 +246,21 @@ def test_tag_file_header_count_must_match_the_file_size(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_tag_file_at_another_resolution_exits_3(tmp_path, capsys):
+    coarse = tmp_path / "coarse.bin"
+    with open(coarse, "wb") as fh:
+        write_tags(TagStream([10, 20], [0, 2]), fh)
+        fh.seek(0)
+        fh.write(HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, 0, 8, 2, 2))
+    cfg = _write(tmp_path, "run.cfg", LOSSLESS)
+    rc = main(["xcorr", "--config", cfg, "--tags", str(coarse), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error:")
+    assert "8 ps" in err
+    assert err.count("\n") == 1
+
+
 def test_failed_write_leaves_no_partial_file(tmp_path, lossless_tags, monkeypatch):
     cfg, tags = lossless_tags
 

@@ -187,6 +187,11 @@ def test_parse_errors_carry_line_numbers():
     ("[analysis]\nbin_ns = 7\n", 2, ("bin_ns", "tau_range_ns")),
     ("[analysis]\nwindow_ns = 0.0004\n", 2, ("window_ns",)),
     ("[sweep]\nwindows_ns = 0.0004, 100\n", 2, ("windows_ns",)),
+    ("[analysis]\ntau_range_ns = 0.0004\n", 2, ("tau_range_ns",)),
+    ("[analysis]\nfloor_min_ns = 0.0001\nfloor_max_ns = 0.0002\n", 3,
+     ("floor_min_ns", "floor_max_ns")),
+    ("[analysis]\nfloor_min_ns = 1000.0001\nfloor_max_ns = 1000.0004\n", 3,
+     ("floor_min_ns", "floor_max_ns")),
 ])
 def test_value_errors_carry_line_numbers(text, lineno, keys):
     with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:

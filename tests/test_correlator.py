@@ -107,16 +107,6 @@ def test_histogram_rejects_bad_binning_and_channels():
         cross_correlation_histogram(stream, 0, 9, 10, (-100, 100))
 
 
-def test_coarse_streams_are_refused():
-    coarse = TagStream([10, 20], [0, 1], resolution_ps=4)
-    with pytest.raises(AnalysisError, match="1 ps resolution"):
-        cross_correlation_histogram(coarse, 0, 1, 10, (-100, 100))
-    with pytest.raises(AnalysisError, match="1 ps resolution"):
-        heralded_autocorrelation(coarse, 0, 1, 1, 100)
-    with pytest.raises(AnalysisError, match="1 ps resolution"):
-        coincidence_metrics(coarse, 0, 1, 100, 0.5)
-
-
 def test_histogram_dataclass_validation():
     good = np.zeros(10, dtype=np.int64)
     CorrelationHistogram(10, -50, 50, good, 0, 1, 1, 1, 100)
@@ -437,6 +427,8 @@ def test_heralded_orders_match_enumeration(soup, window, n_max):
     else:
         result = heralded_autocorrelation(stream, 2, 0, 1, window, n_max=n_max)
         assert result.histogram.counts.tolist() == expected
+        assert result.h0 == expected[n_max]
+        assert result.h_other_mean == (sum(expected) - expected[n_max]) / (2 * n_max)
 
 
 # --- CSV output ----------------------------------------------------------------

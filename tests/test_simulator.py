@@ -103,7 +103,6 @@ def test_channel_labels_follow_roles():
     assert stream.channel_labels[CHANNEL_SIGNAL_A] == "signal-A"
     assert stream.channel_labels[CHANNEL_SIGNAL_B] == "signal-B"
     assert stream.channel_labels[CHANNEL_IDLER] == "idler"
-    assert stream.resolution_ps == 1
 
 
 # --- rates ---------------------------------------------------------------------

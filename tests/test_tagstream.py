@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton.tagstream import (
     FORMAT_VERSION,
@@ -16,19 +18,18 @@ from biphoton.tagstream import (
     MonotonicityError,
     TagStream,
     TagStreamError,
-    TimeTag,
     read_tags,
     write_tags,
 )
 
 
-def _random_stream(n, seed, resolution_ps=1):
+def _random_stream(n, seed):
     rng = np.random.default_rng(seed)
     gaps = rng.integers(1, 2_000, size=n, dtype=np.int64)
     times = np.cumsum(gaps)
     channels = rng.integers(0, 4, size=n, dtype=np.int64)
     flags = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    return TagStream(times, channels.astype(np.uint8), flags, resolution_ps=resolution_ps)
+    return TagStream(times, channels.astype(np.uint8), flags)
 
 
 def _file_bytes(stream):
@@ -51,7 +52,7 @@ def test_roundtrip_million_tags(tmp_path):
     assert np.array_equal(back.times, stream.times)
     assert np.array_equal(back.channels, stream.channels)
     assert np.array_equal(back.flags, stream.flags)
-    assert back.resolution_ps == stream.resolution_ps
+    assert HEADER_STRUCT.unpack_from(path.read_bytes())[3] == 1
     # a second pass through the format changes nothing
     assert _file_bytes(back) == path.read_bytes()
 
@@ -70,14 +71,6 @@ def test_roundtrip_empty_stream(tmp_path):
     assert write_tags(empty, path) == HEADER_STRUCT.size
     back = read_tags(path)
     assert len(back) == 0
-    assert back.resolution_ps == 1
-
-
-def test_roundtrip_preserves_resolution():
-    stream = _random_stream(500, seed=7, resolution_ps=8)
-    back = read_tags(io.BytesIO(_file_bytes(stream)))
-    assert back.resolution_ps == 8
-    assert back.span_ps == stream.span_ps
 
 
 def test_write_rejects_negative_times():
@@ -104,8 +97,10 @@ def test_read_rejects_unknown_version():
 
 
 def test_read_rejects_zero_resolution():
-    with pytest.raises(FormatError, match="resolution"):
-        read_tags(io.BytesIO(_header(resolution=0)))
+    # times are picoseconds; a header at any other resolution is refused
+    for resolution in (0, 8):
+        with pytest.raises(FormatError, match=f"resolution is {resolution} ps"):
+            read_tags(io.BytesIO(_header(resolution=resolution)))
 
 
 def test_read_rejects_truncated_header():
@@ -121,9 +116,15 @@ def test_read_rejects_truncated_records():
 
 
 def test_read_rejects_timestamps_beyond_int64():
-    payload = _records([(100, 0), (2**63, 1)])
-    with pytest.raises(FormatError, match="record 1"):
-        read_tags(io.BytesIO(_header(records=2) + payload))
+    # in time order, first, and out of order: the range error names the record
+    for rows, index in (
+        ([(100, 0), (2**63, 1)], 1),
+        ([(2**64 - 1, 0)], 0),
+        ([(5, 0), (2**63 + 7, 1), (3, 2)], 1),
+    ):
+        payload = _records(rows)
+        with pytest.raises(FormatError, match=f"record {index} has a timestamp above"):
+            read_tags(io.BytesIO(_header(records=len(rows)) + payload))
 
 
 def _records(rows):
@@ -187,11 +188,6 @@ def test_constructor_rejects_negative_times():
         TagStream([-1, 5], [0, 0])
 
 
-def test_constructor_rejects_bad_resolution():
-    with pytest.raises(TagStreamError, match="resolution"):
-        TagStream([1], [0], resolution_ps=0)
-
-
 def test_constructor_accepts_tied_times_in_channel_order():
     stream = TagStream([10, 10, 10], [0, 1, 3])
     assert len(stream) == 3
@@ -200,15 +196,57 @@ def test_constructor_accepts_tied_times_in_channel_order():
 def test_from_tags_and_accessors():
     stream = TagStream([5, 9, 9, 14], [0, 2, 3, 0], [0, 0, 0, 1])
     assert len(stream) == 4
-    assert stream[1] == TimeTag(9, 2)
-    assert list(stream)[-1] == TimeTag(14, 0, 1)
     assert stream.count(0) == 2
     assert stream.count(7) == 0
     assert list(stream.channel_times(0)) == [5, 14]
     assert stream.flags[-1] == 1
     assert stream.channel_labels[2] == "idler"
+    assert stream.span_ps == 9
 
 
-def test_span_uses_resolution():
-    stream = TagStream([100, 400], [0, 1], resolution_ps=8)
-    assert stream.span_ps == 2400
+# --- the ordering rule, against brute force ---------------------------------
+
+# few distinct times and channels, so ties, duplicates and disorder are common
+_RECORD = st.tuples(st.integers(0, 6), st.integers(0, 3))
+_RECORDS = st.one_of(
+    st.lists(_RECORD, max_size=12),
+    st.lists(_RECORD, max_size=12).map(sorted),
+    st.lists(_RECORD, max_size=12, unique=True).map(sorted),
+)
+
+
+def _first_violation(records):
+    """(index, kind) of the first record not strictly after its predecessor
+    in (time, channel) order, or None."""
+    for i in range(1, len(records)):
+        (t0, c0), (t1, c1) = records[i - 1], records[i]
+        if t1 < t0:
+            return i, "tags out of order"
+        if t1 == t0 and c1 == c0:
+            return i, "duplicate (time, channel) record"
+        if t1 == t0 and c1 < c0:
+            return i, "simultaneous tags not in channel order"
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_RECORDS)
+def test_ordering_rule_matches_brute_force(records):
+    times = np.array([t for t, _ in records], dtype=np.int64)
+    channels = np.array([c for _, c in records], dtype=np.uint8)
+    raw = io.BytesIO(_header(records=len(records)) + _records(records))
+    violation = _first_violation(records)
+    if violation is None:
+        assert len(TagStream(times, channels)) == len(records)
+        back = read_tags(raw)
+        assert np.array_equal(back.times, times)
+        assert np.array_equal(back.channels, channels)
+        return
+    index, kind = violation
+    with pytest.raises(TagStreamError) as info:
+        TagStream(times, channels)
+    assert str(info.value) == f"{kind} at index {index}"
+    assert info.value.index == index
+    with pytest.raises(MonotonicityError) as info:
+        read_tags(raw)
+    assert info.value.index == index
