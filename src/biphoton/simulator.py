@@ -13,6 +13,14 @@ time plus a draw from the normalized two-sided exponential delay density
 signal splitter and the detector efficiencies are independent Bernoulli
 thinnings; dark counts are homogeneous Poisson processes per detector.
 
+Thinning comes first: a Bose-Einstein count of mean mu, with each pair kept
+with probability q, is Bose-Einstein with mean q * mu.  Here q =
+1 - (1 - p_idler)(1 - p_A - p_B) is the chance that a pair leaves at least
+one kept detection, so only those pairs are drawn.  Each then takes one
+outcome (A only, B only, idler+A, idler+B, idler only) with its probability
+given q, and only surviving signal photons get a delay.  A mode whose idler
+is filtered out is thereby a signal-only process.
+
 The slot model reproduces single-mode thermal bunching (g2 -> 2) and the
 1 + 1/N reduction for N modes.  Its known artifact is that slot boundaries
 smear the *shape* of autocorrelation peaks on the scale of one slot; choose
@@ -21,9 +29,10 @@ smear the *shape* of autocorrelation peaks on the scale of one slot; choose
 Determinism
 -----------
 All randomness derives from one integer seed.  Pairs come from one slot grid
-over the whole run, in fixed-size blocks with a derived seed per (mode,
-block), and each detector's darks from a seed of their own.  A gate only
-masks: it changes neither the grid nor the seeds.
+over the whole run, in blocks of 2^30 slots (a 300 s run of 250 ns slots
+takes two per mode), each seeded from (seed, salt, mode, block); each
+detector's darks come from a seed of their own.  A gate only masks: it
+changes neither the grid nor the seeds.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ CHANNEL_SIGNAL_B = 1
 CHANNEL_IDLER = 2
 
 _PS_PER_S = 10**12
-_SLOTS_PER_BLOCK = 1 << 22
+_SLOTS_PER_BLOCK = 1 << 30
 # salts keep the independent random sub-streams from colliding
 _SALT_PAIRS = 11
 _SALT_DARKS = 29
@@ -224,34 +233,6 @@ def _occupied_slots(rng: np.random.Generator, n_slots: int, q: float) -> np.ndar
         pos = int(idx[-1])
 
 
-def _pair_block(
-    rng: np.random.Generator,
-    block_start_ps: int,
-    n_slots: int,
-    slot_ps: int,
-    mu: float,
-    tau_fall_ps: float,
-    tau_rise_ps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(idler, signal) emission times for one slot block of one mode."""
-    occ = _occupied_slots(rng, n_slots, mu / (1.0 + mu))
-    if occ.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    # pair count in an occupied slot: Bose-Einstein conditioned on >= 1,
-    # which is geometric with success probability 1/(1+mu)
-    counts = rng.geometric(1.0 / (1.0 + mu), size=occ.size)
-    slot_starts = block_start_ps + occ * slot_ps
-    idler = np.repeat(slot_starts, counts) + rng.integers(
-        0, slot_ps, size=int(counts.sum()), dtype=np.int64
-    )
-    falling = rng.random(idler.size) < tau_fall_ps / (tau_fall_ps + tau_rise_ps)
-    mag = rng.standard_exponential(idler.size)
-    delay = np.where(falling, mag * tau_fall_ps, -mag * tau_rise_ps)
-    signal = idler + np.rint(delay).astype(np.int64)
-    return idler, signal
-
-
 def _generate_photons(
     params: SourceParams,
     duration_ps: int,
@@ -260,18 +241,15 @@ def _generate_photons(
     keep_signal: bool,
     keep_idler: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All surviving photon detection tags as (times, channels), unsorted."""
+    """All surviving photon detection tags as (times, channels), unsorted;
+    only the arms asked for are kept, and only pairs they see are drawn."""
     slot_ps = max(int(round(params.slot_s * _PS_PER_S)), 1)
     central_rate = params.central_pair_rate_hz
     tau_fall_ps = _PS_PER_S / (2.0 * math.pi * params.signal_linewidth_hz)
     tau_rise_ps = _PS_PER_S / (2.0 * math.pi * params.idler_linewidth_hz)
-    eff_a = params.escape_s * params.transmission_s * params.splitter_ratio * params.detector_a.efficiency
-    eff_b = (
-        params.escape_s
-        * params.transmission_s
-        * (1.0 - params.splitter_ratio)
-        * params.detector_b.efficiency
-    )
+    signal_common = params.escape_s * params.transmission_s if keep_signal else 0.0
+    p_a = signal_common * params.splitter_ratio * params.detector_a.efficiency
+    p_b = signal_common * (1.0 - params.splitter_ratio) * params.detector_b.efficiency
     idler_common = params.escape_i * params.transmission_i * params.detector_i.efficiency
 
     n_slots_run = -(-duration_ps // slot_ps)
@@ -279,43 +257,44 @@ def _generate_photons(
     channels = []
     w0 = params.mode_weights[0]
     for mode, weight in enumerate(params.mode_weights):
-        if weight == 0.0:
-            continue
-        mu = central_rate * (weight / w0) * (slot_ps / _PS_PER_S)
+        filt = params.idler_filter_transmission if mode == 0 else params.idler_filter_extinction
+        p_i = idler_common * filt if keep_idler else 0.0
+        # A only, B only, idler+A, idler+B, idler only
+        outcome_probs = [
+            (1.0 - p_i) * p_a, (1.0 - p_i) * p_b, p_i * p_a, p_i * p_b, p_i * (1.0 - p_a - p_b)
+        ]
+        q = sum(outcome_probs)
+        # mean number of pairs per slot that leave a kept detection
+        mu = central_rate * (weight / w0) * (slot_ps / _PS_PER_S) * q
         if mu <= 0.0:
             continue
-        filt = params.idler_filter_transmission if mode == 0 else params.idler_filter_extinction
-        p_idler = idler_common * filt
+        edges = np.cumsum(outcome_probs[:-1])
         for block in range(-(-n_slots_run // _SLOTS_PER_BLOCK)):
-            # the literal 0 fills the slot a gate-segment index had; it keeps
-            # ungated streams byte-identical to the pinned digests in the tests
-            rng = np.random.default_rng(np.random.SeedSequence((seed, salt, 0, mode, block)))
+            rng = np.random.default_rng(np.random.SeedSequence((seed, salt, mode, block)))
             n_slots = min(_SLOTS_PER_BLOCK, n_slots_run - block * _SLOTS_PER_BLOCK)
-            idler, signal = _pair_block(
-                rng, block * _SLOTS_PER_BLOCK * slot_ps, n_slots, slot_ps,
-                mu, tau_fall_ps, tau_rise_ps,
+            occ = _occupied_slots(rng, n_slots, mu / (1.0 + mu))
+            # pair count in an occupied slot: Bose-Einstein conditioned on >= 1,
+            # which is geometric with success probability 1/(1+mu)
+            counts = rng.geometric(1.0 / (1.0 + mu), size=occ.size)
+            slot_starts = (block * _SLOTS_PER_BLOCK + occ) * slot_ps
+            idler = np.repeat(slot_starts, counts) + rng.integers(
+                0, slot_ps, size=int(counts.sum()), dtype=np.int64
             )
             if params.gate is not None:
                 # pairs are created only while the gate is open
-                created = params.gate.open_mask(idler)
-                idler, signal = idler[created], signal[created]
-            if idler.size == 0:
-                continue
-            # thinning draws happen in a fixed order so streams are
-            # reproducible; both are drawn even when one side is dropped
-            u_idler = rng.random(idler.size)
-            u_signal = rng.random(signal.size)
-            if keep_idler and p_idler > 0.0:
-                kept = idler[u_idler < p_idler]
-                times.append(kept)
-                channels.append(np.full(kept.size, CHANNEL_IDLER, dtype=np.uint8))
-            if keep_signal:
-                to_a = signal[u_signal < eff_a]
-                to_b = signal[(u_signal >= eff_a) & (u_signal < eff_a + eff_b)]
-                times.append(to_a)
-                channels.append(np.full(to_a.size, CHANNEL_SIGNAL_A, dtype=np.uint8))
-                times.append(to_b)
-                channels.append(np.full(to_b.size, CHANNEL_SIGNAL_B, dtype=np.uint8))
+                idler = idler[params.gate.open_mask(idler)]
+            outcome = np.searchsorted(edges, rng.random(idler.size) * q, side="right")
+            kept = idler[outcome >= 2]
+            times.append(kept)
+            channels.append(np.full(kept.size, CHANNEL_IDLER, dtype=np.uint8))
+            with_signal = outcome < 4
+            n = int(np.count_nonzero(with_signal))
+            falling = rng.random(n) < tau_fall_ps / (tau_fall_ps + tau_rise_ps)
+            mag = rng.standard_exponential(n)
+            delay = np.where(falling, mag * tau_fall_ps, -mag * tau_rise_ps)
+            times.append(idler[with_signal] + np.rint(delay).astype(np.int64))
+            # outcomes 0 and 2 reach signal-A (channel 0), 1 and 3 signal-B
+            channels.append((outcome[with_signal] % 2).astype(np.uint8))
     if not times:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     return np.concatenate(times), np.concatenate(channels)
@@ -359,14 +338,23 @@ def _apply_dead_time(times: np.ndarray, channels: np.ndarray, params: SourcePara
         if dead_s <= 0.0:
             continue
         dead_ps = int(round(dead_s * _PS_PER_S))
-        idx = np.nonzero(channels == channel)[0]
-        t = times[idx]
-        last = -dead_ps - 1
-        for j in range(t.size):
-            if t[j] - last < dead_ps:
-                keep[idx[j]] = False
+        on_channel = channels == channel
+        t = times[on_channel]
+        # a tag at least dead_ps after its predecessor is always kept, so the
+        # sequential rule runs only over the runs of shorter gaps, each from
+        # the kept tag before it
+        short = np.flatnonzero(np.diff(t) < dead_ps) + 1
+        dropped = []
+        last = previous = None
+        for j, tj, before in zip(short.tolist(), t[short].tolist(), t[short - 1].tolist()):
+            if j - 1 != previous:
+                last = before
+            if tj - last < dead_ps:
+                dropped.append(j)
             else:
-                last = t[j]
+                last = tj
+            previous = j
+        keep[np.flatnonzero(on_channel)[dropped]] = False
     return times[keep], channels[keep]
 
 

@@ -51,6 +51,9 @@ RECORD_DTYPE = np.dtype(
 #: conventional channel numbering used by the simulator and restored on read
 DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
+# records copied per read, so the raw file buffer is never held whole
+_READ_CHUNK_RECORDS = 1 << 20
+
 
 class TagStreamError(ValueError):
     """Invalid in-memory stream (unsorted, bad channel, duplicate record).
@@ -89,7 +92,11 @@ def _first_disorder(times: np.ndarray, channels: np.ndarray) -> int:
 
 
 def _default_labels(channels: np.ndarray) -> dict[int, str]:
-    present = np.unique(channels) if channels.size else np.array([], dtype=int)
+    # a table indexed by channel: np.unique would sort, and np.bincount
+    # would first copy the channels to a 64-bit array
+    seen = np.zeros(256, dtype=bool)
+    seen[channels] = True
+    present = np.flatnonzero(seen)
     return {int(c): DEFAULT_ROLES.get(int(c), f"ch{int(c)}") for c in present}
 
 
@@ -251,13 +258,22 @@ def _read_stream(fh: BinaryIO) -> TagStream:
             f"header announces {record_count} records ({size} bytes), "
             f"but {available} bytes of records follow it"
         )
-    records = np.frombuffer(_read_exact(fh, size, "records"), dtype=RECORD_DTYPE)
-    # times above 2^63 - 1 wrap to negative int64 values, which always break
-    # the stream's check (a negative first time, or a step back), so the range
-    # is only examined once that check has failed
-    times = records["time"].astype(np.int64)
+    times = np.empty(record_count, dtype=np.int64)
+    channels = np.empty(record_count, dtype=np.uint8)
+    flags = np.empty(record_count, dtype=np.uint8)
+    for at in range(0, record_count, _READ_CHUNK_RECORDS):
+        n = min(_READ_CHUNK_RECORDS, record_count - at)
+        records = np.frombuffer(
+            _read_exact(fh, n * RECORD_DTYPE.itemsize, "records"), dtype=RECORD_DTYPE
+        )
+        # times above 2^63 - 1 wrap to negative int64 values, which always
+        # break the stream's check (a negative first time, or a step back), so
+        # the range is only examined once that check has failed
+        times[at : at + n] = records["time"]
+        channels[at : at + n] = records["channel"]
+        flags[at : at + n] = records["flags"]
     try:
-        return TagStream(times, records["channel"].copy(), records["flags"].copy())
+        return TagStream(times, channels, flags)
     except TagStreamError as exc:
         if times.min() < 0:
             first = int(np.argmax(times < 0))

@@ -405,17 +405,17 @@ def _output_digest(tmp_path, command, config_text):
 
 
 @pytest.mark.parametrize("command,config_text,digest", [
-    ("simulate", FROZEN_RUN, "f85e5bc176ce4f7e1a59f1f6596c383370f8abb2f1668c77d06265a51d10b4f2"),
-    ("xcorr", FROZEN_RUN, "2252369c08deb8bbe6ab11b8e5b2d545edbd6d433f5b071822a0b028ef12825b"),
-    ("autocorr", FROZEN_SPLIT, "c8fafae821512c35d75071d601a10f2d2380039c12266f121d551267fa0fa68f"),
-    ("heralded", FROZEN_SPLIT, "84df09dc24da5cc8d8ebea9f06f632e12cdc3d677640f5c4c5f3145780a40fc6"),
-    ("metrics", FROZEN_RUN, "67d25324ddfd53d745895ff109f7a26925163bd548a352d34b3189c338ca8ee2"),
+    ("simulate", FROZEN_RUN, "9f8b143986cf2cf5568ab339ebbe2046b6218cf0db3b50f42ac2acec569c35bc"),
+    ("xcorr", FROZEN_RUN, "3b2b44231c0973be4d657445445a488e0585b43cda6d3987436cc7fe27f73466"),
+    ("autocorr", FROZEN_SPLIT, "d037a4a9a79efa754b5f4cf860910a1c4f2de70ceef8efc6d8cc7499ec3abe3d"),
+    ("heralded", FROZEN_SPLIT, "b258423ffb28bc7e3f056da605db2a28f3883dfcfd50cf070ea28b4849589118"),
+    ("metrics", FROZEN_RUN, "cfb0afbb6f8ca445a18324578b527aa4ca6514e9deeb1a99e8df1a7f65c1e3ae"),
     ("sweep-power", FROZEN_SWEEP,
-     "bb1e5c61aad1561670d2eb8668492119a5899c6e8d5d186f2f2ab53ff5903eaa"),
+     "b9f8dce02c095b05a16a3328ac6e7a6eba568c2244e53bfd50536451a154f41f"),
     ("sweep-window", FROZEN_RUN,
-     "aca7899b21016ffe6f9298bcd9180ec87c389186e0fdee17ee04cb5e44212859"),
+     "6e6074181268c81c5585bd680424f555173fcfeb7435cd4896a083f6b2934011"),
     ("cavity", FROZEN_RUN, "4c7b355c561b5a6f3ddbc23604821c4c638aaa1e2f0f9c95ce8d0d5cd8cf743c"),
-    ("report", FROZEN_RUN, "b4377c87becf8ed0e7f6e816a7ee455879fec73beed9af2d27ddeccf51696998"),
+    ("report", FROZEN_RUN, "efd191618cc7e898a7c444ecaa37c4e7b0c2f52ca0dfefa1ef5e384894812311"),
 ])
 def test_cli_outputs_are_frozen(tmp_path, command, config_text, digest):
     """Every subcommand's stdout and artifacts for a fixed (config, seed) keep

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biphoton import simulator
 from biphoton.config import preset_config
 from biphoton.correlator import cross_correlation_histogram, normalized_g2
 from biphoton.models import DetectorSpec, ModelError
@@ -33,12 +36,12 @@ def test_simulation_is_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", [
-    ("reference", 3, 5.0, 0.0, 28141,
-     "8820d7879ea424be91955649a84fcc8f4e4d809d8cd49c267db75e21540b3682"),
-    ("signal-autocorr", 7, 4.0, 50.0, 22471,
-     "acad7a1c8525946f7fcc2f6a19dd295b0b8116acfea7b611851999c87372718f"),
-    ("idler-autocorr", 11, 3.0, 0.0, 19858,
-     "75f3205eb7a8df8dc40d4062e473d0f75a62d268bc2e7c409b52c98e57b11fc6"),
+    ("reference", 3, 5.0, 0.0, 28440,
+     "1abd00cabfe8efee847cf422dfe405f6d8539e17831415198d322809b9363697"),
+    ("signal-autocorr", 7, 4.0, 50.0, 22852,
+     "4829848cc8b0e08ccba5e0f418d8d1180cc9c34df06037880085b60ae8088a67"),
+    ("idler-autocorr", 11, 3.0, 0.0, 19909,
+     "8490f1c033c79dc0ce6c035ff53dda8955ae79ae9e28c3f7438146f077757573"),
 ])
 def test_ungated_streams_are_frozen(preset, seed, duration, dead_ns, n_tags, digest):
     """Ungated draws are pinned: a change to the order of random draws must
@@ -285,6 +288,44 @@ def test_dead_time_enforces_minimum_spacing():
         SourceParams(pump_mw=0.0, detector_i=DetectorSpec(1.0, 100_000.0)), 1.0, seed=15
     )
     assert np.diff(free.channel_times(2)).min() < 10**6
+
+
+def _sequential_dead_time(times, channels, dead_ps):
+    """The plain rule: a tag is dropped when it comes less than the dead time
+    after the last kept tag on its channel."""
+    keep = np.ones(times.size, dtype=bool)
+    for channel, dead in enumerate(dead_ps):
+        if dead <= 0:
+            continue
+        last = -dead - 1
+        for j in np.flatnonzero(channels == channel):
+            if times[j] - last < dead:
+                keep[j] = False
+            else:
+                last = times[j]
+    return times[keep], channels[keep]
+
+
+# dense times on three channels: gaps equal to the dead time and long chains
+# of short gaps are common
+_DEAD_RECORDS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), max_size=60),
+    st.lists(st.tuples(st.integers(0, 400), st.integers(0, 2)), min_size=50, max_size=200),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_DEAD_RECORDS, st.tuples(*[st.integers(0, 9)] * 3))
+def test_clustered_dead_time_matches_the_sequential_rule(records, dead_ps):
+    records = sorted(set(records))
+    times = np.array([t for t, _ in records], dtype=np.int64)
+    channels = np.array([c for _, c in records], dtype=np.uint8)
+    detectors = [DetectorSpec(1.0, dead_time_s=d * 1e-12) for d in dead_ps]
+    params = SourceParams(detector_a=detectors[0], detector_b=detectors[1], detector_i=detectors[2])
+    got_times, got_channels = simulator._apply_dead_time(times, channels, params)
+    want_times, want_channels = _sequential_dead_time(times, channels, dead_ps)
+    assert np.array_equal(got_times, want_times)
+    assert np.array_equal(got_channels, want_channels)
 
 
 # --- mode cluster spectrum -----------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import tagstream
 from biphoton.tagstream import (
+    DEFAULT_ROLES,
     FORMAT_VERSION,
     HEADER_STRUCT,
     MAGIC,
@@ -132,6 +134,37 @@ def _records(rows):
     for i, (t, c) in enumerate(rows):
         arr[i] = (t, c, 0, 0, 0)
     return arr.tobytes()
+
+
+def test_read_copies_records_in_chunks(monkeypatch):
+    """Files of several read chunks: the columns come back whole, and an
+    error found across a chunk boundary names the record by its file index."""
+    monkeypatch.setattr(tagstream, "_READ_CHUNK_RECORDS", 4)
+    stream = _random_stream(10, seed=8)
+    back = read_tags(io.BytesIO(_file_bytes(stream)))
+    assert np.array_equal(back.times, stream.times)
+    assert np.array_equal(back.channels, stream.channels)
+    assert np.array_equal(back.flags, stream.flags)
+
+    rows = [(10 * k, 0) for k in range(10)]
+    # record 8 opens the third chunk and steps back before record 7
+    rows[8] = (65, 1)
+    with pytest.raises(MonotonicityError) as info:
+        read_tags(io.BytesIO(_header(records=10) + _records(rows)))
+    assert info.value.index == 8
+    rows[8] = (85, 1)
+    rows[9] = (2**63 + 1, 0)
+    with pytest.raises(FormatError, match="record 9 has a timestamp above"):
+        read_tags(io.BytesIO(_header(records=10) + _records(rows)))
+
+
+@pytest.mark.parametrize("n, high", [(0, 1), (500, 256), (10_000, 6)], ids=["empty", "wide", "few"])
+def test_default_labels_name_the_channels_present(n, high):
+    channels = np.random.default_rng(n).integers(0, high, size=n, dtype=np.uint8)
+    present = np.unique(channels).tolist()
+    labels = TagStream(np.arange(n), channels).channel_labels
+    assert list(labels) == present
+    assert all(labels[c] == DEFAULT_ROLES.get(c, f"ch{c}") for c in present)
 
 
 def test_read_rejects_time_disorder_with_index():
