@@ -16,10 +16,13 @@ thinnings; dark counts are homogeneous Poisson processes per detector.
 Thinning comes first: a Bose-Einstein count of mean mu, with each pair kept
 with probability q, is Bose-Einstein with mean q * mu.  Here q =
 1 - (1 - p_idler)(1 - p_A - p_B) is the chance that a pair leaves at least
-one kept detection, so only those pairs are drawn.  Each then takes one
-outcome (A only, B only, idler+A, idler+B, idler only) with its probability
-given q, and only surviving signal photons get a delay.  A mode whose idler
-is filtered out is thereby a signal-only process.
+one kept detection, so only those pairs are drawn.  Per slot, a further pair
+follows each pair with probability q*mu / (1 + q*mu), so the slots between
+consecutive pairs are geometric and empty slots cost nothing.  Each pair
+then takes one outcome (A only, B only, idler+A, idler+B, idler only) with
+its probability given q, and only surviving signal photons get a delay,
+drawn as the difference of two exponentials.  A mode whose idler is filtered
+out is thereby a signal-only process.
 
 The slot model reproduces single-mode thermal bunching (g2 -> 2) and the
 1 + 1/N reduction for N modes.  Its known artifact is that slot boundaries
@@ -30,9 +33,10 @@ Determinism
 -----------
 All randomness derives from one integer seed.  Pairs come from one slot grid
 over the whole run, in blocks of 2^30 slots (a 300 s run of 250 ns slots
-takes two per mode), each seeded from (seed, salt, mode, block); each
-detector's darks come from a seed of their own.  A gate only masks: it
-changes neither the grid nor the seeds.
+takes two per mode), each seeded from (seed, salt, mode, block) and split
+into one sub-stream per stage (slots, emission offsets, outcomes, delays), so
+no stage shifts another's draws; each detector's darks come from a seed of
+their own.  A gate only masks: it changes neither the grid nor the seeds.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ CHANNEL_IDLER = 2
 _PS_PER_S = 10**12
 _SLOTS_PER_BLOCK = 1 << 30
 # salts keep the independent random sub-streams from colliding
-_SALT_PAIRS = 11
+_SALT_PAIRS = 20
 _SALT_DARKS = 29
 _SALT_UNPAIRED_SIGNAL = 41
 _SALT_UNPAIRED_IDLER = 43
@@ -212,20 +216,17 @@ def effective_mode_number(mode_weights) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _occupied_slots(rng: np.random.Generator, n_slots: int, q: float) -> np.ndarray:
-    """Indices of slots holding at least one pair; occupancy i.i.d. with
-    probability ``q``.  Sampled via geometric gaps so empty slots cost
-    nothing."""
-    if q <= 0.0 or n_slots == 0:
-        return np.empty(0, dtype=np.int64)
-    if q >= 1.0:
-        return np.arange(n_slots, dtype=np.int64)
+def _pair_slots(rng: np.random.Generator, n_slots: int, mu: float) -> np.ndarray:
+    """Slot index of every pair, ascending, with Bose-Einstein counts of mean
+    ``mu`` per slot: a slot takes a (further) pair with probability
+    mu/(1+mu), else the next slot opens, so the number of slots opened
+    before each pair is geometric and empty slots cost nothing."""
     chunks = []
-    pos = -1
+    pos = 0
     while True:
-        expect = (n_slots - 1 - pos) * q
-        size = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 16
-        idx = pos + np.cumsum(rng.geometric(q, size=size), dtype=np.int64)
+        expect = (n_slots - pos) * mu
+        size = int(expect + 6.0 * math.sqrt(expect * (1.0 + mu) + 1.0)) + 16
+        idx = pos + np.cumsum(rng.geometric(mu / (1.0 + mu), size=size) - 1, dtype=np.int64)
         inside = idx[idx < n_slots]
         chunks.append(inside)
         if inside.size < idx.size:
@@ -270,28 +271,27 @@ def _generate_photons(
             continue
         edges = np.cumsum(outcome_probs[:-1])
         for block in range(-(-n_slots_run // _SLOTS_PER_BLOCK)):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, salt, mode, block)))
+            # one sub-stream per stage, so no stage shifts another's draws
+            slot_rng, offset_rng, outcome_rng, delay_rng = (
+                np.random.default_rng(s)
+                for s in np.random.SeedSequence((seed, salt, mode, block)).spawn(4)
+            )
             n_slots = min(_SLOTS_PER_BLOCK, n_slots_run - block * _SLOTS_PER_BLOCK)
-            occ = _occupied_slots(rng, n_slots, mu / (1.0 + mu))
-            # pair count in an occupied slot: Bose-Einstein conditioned on >= 1,
-            # which is geometric with success probability 1/(1+mu)
-            counts = rng.geometric(1.0 / (1.0 + mu), size=occ.size)
-            slot_starts = (block * _SLOTS_PER_BLOCK + occ) * slot_ps
-            idler = np.repeat(slot_starts, counts) + rng.integers(
-                0, slot_ps, size=int(counts.sum()), dtype=np.int64
+            slots = block * _SLOTS_PER_BLOCK + _pair_slots(slot_rng, n_slots, mu)
+            idler = slots * slot_ps + offset_rng.integers(
+                0, slot_ps, size=slots.size, dtype=np.int64
             )
             if params.gate is not None:
                 # pairs are created only while the gate is open
                 idler = idler[params.gate.open_mask(idler)]
-            outcome = np.searchsorted(edges, rng.random(idler.size) * q, side="right")
+            outcome = np.searchsorted(edges, outcome_rng.random(idler.size) * q, side="right")
             kept = idler[outcome >= 2]
             times.append(kept)
             channels.append(np.full(kept.size, CHANNEL_IDLER, dtype=np.uint8))
             with_signal = outcome < 4
             n = int(np.count_nonzero(with_signal))
-            falling = rng.random(n) < tau_fall_ps / (tau_fall_ps + tau_rise_ps)
-            mag = rng.standard_exponential(n)
-            delay = np.where(falling, mag * tau_fall_ps, -mag * tau_rise_ps)
+            delay = (tau_fall_ps * delay_rng.standard_exponential(n)
+                     - tau_rise_ps * delay_rng.standard_exponential(n))
             times.append(idler[with_signal] + np.rint(delay).astype(np.int64))
             # outcomes 0 and 2 reach signal-A (channel 0), 1 and 3 signal-B
             channels.append((outcome[with_signal] % 2).astype(np.uint8))

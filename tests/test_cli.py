@@ -405,17 +405,17 @@ def _output_digest(tmp_path, command, config_text):
 
 
 @pytest.mark.parametrize("command,config_text,digest", [
-    ("simulate", FROZEN_RUN, "9f8b143986cf2cf5568ab339ebbe2046b6218cf0db3b50f42ac2acec569c35bc"),
-    ("xcorr", FROZEN_RUN, "3b2b44231c0973be4d657445445a488e0585b43cda6d3987436cc7fe27f73466"),
-    ("autocorr", FROZEN_SPLIT, "d037a4a9a79efa754b5f4cf860910a1c4f2de70ceef8efc6d8cc7499ec3abe3d"),
-    ("heralded", FROZEN_SPLIT, "b258423ffb28bc7e3f056da605db2a28f3883dfcfd50cf070ea28b4849589118"),
-    ("metrics", FROZEN_RUN, "cfb0afbb6f8ca445a18324578b527aa4ca6514e9deeb1a99e8df1a7f65c1e3ae"),
+    ("simulate", FROZEN_RUN, "e72f90ad0cd2d84ebefa0d254d35415efc7f67069f3697fe2fb4387bd48f5b08"),
+    ("xcorr", FROZEN_RUN, "23a127aa14245f9255d18b15c557f85d3cc9fd333a7a816cc7c1cc30409a3b7e"),
+    ("autocorr", FROZEN_SPLIT, "83d54ec3657b2834fe2a59305a14db3303a87846373ddbc555b220069a92488c"),
+    ("heralded", FROZEN_SPLIT, "be8d6a568bd17dc5d1a3faa1fb6288da877da7e02891d37c107452dca7655c5f"),
+    ("metrics", FROZEN_RUN, "71dd38cba30ccf0fe49809c767406d69667e26a029b77624c858fa413020d002"),
     ("sweep-power", FROZEN_SWEEP,
-     "b9f8dce02c095b05a16a3328ac6e7a6eba568c2244e53bfd50536451a154f41f"),
+     "ce106b23e23478537fd7125be3ae18706172e3328d3f57d2bd021855a336d8e7"),
     ("sweep-window", FROZEN_RUN,
-     "6e6074181268c81c5585bd680424f555173fcfeb7435cd4896a083f6b2934011"),
+     "7055ac8be0f4228f6683597d945a250d8e6ac4049a160bcb513d160dd387d4c6"),
     ("cavity", FROZEN_RUN, "4c7b355c561b5a6f3ddbc23604821c4c638aaa1e2f0f9c95ce8d0d5cd8cf743c"),
-    ("report", FROZEN_RUN, "efd191618cc7e898a7c444ecaa37c4e7b0c2f52ca0dfefa1ef5e384894812311"),
+    ("report", FROZEN_RUN, "94e5c2eda667a2fb9d574f0c4a2c0149e8794382abf848d5c984017bade6372d"),
 ])
 def test_cli_outputs_are_frozen(tmp_path, command, config_text, digest):
     """Every subcommand's stdout and artifacts for a fixed (config, seed) keep

@@ -36,12 +36,12 @@ def test_simulation_is_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", [
-    ("reference", 3, 5.0, 0.0, 28440,
-     "1abd00cabfe8efee847cf422dfe405f6d8539e17831415198d322809b9363697"),
-    ("signal-autocorr", 7, 4.0, 50.0, 22852,
-     "4829848cc8b0e08ccba5e0f418d8d1180cc9c34df06037880085b60ae8088a67"),
-    ("idler-autocorr", 11, 3.0, 0.0, 19909,
-     "8490f1c033c79dc0ce6c035ff53dda8955ae79ae9e28c3f7438146f077757573"),
+    ("reference", 3, 5.0, 0.0, 28383,
+     "c4cd085d05009d70518540dd504cea19865d4b318f6a910a888c6166fdb803ac"),
+    ("signal-autocorr", 7, 4.0, 50.0, 22498,
+     "871e120a1bb136da90fa2cf98b5aa1acd3fdf6eca50ddfe6fc95d49e21719227"),
+    ("idler-autocorr", 11, 3.0, 0.0, 19710,
+     "20d9736a0ae8b1363fbff761911a3e72f9b50dd6cfc6ff31e4965146c7ea352a"),
 ])
 def test_ungated_streams_are_frozen(preset, seed, duration, dead_ns, n_tags, digest):
     """Ungated draws are pinned: a change to the order of random draws must

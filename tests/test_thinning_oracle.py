@@ -26,9 +26,25 @@ from biphoton.simulator import (
 _ORACLE_SLOTS_PER_BLOCK = 1 << 22
 
 
+def _occupied_slots(rng, n_slots, q):
+    """Indices of slots holding at least one pair; occupancy i.i.d. with
+    probability ``q``, sampled via geometric gaps."""
+    chunks = []
+    pos = -1
+    while True:
+        expect = (n_slots - 1 - pos) * q
+        size = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 16
+        idx = pos + np.cumsum(rng.geometric(q, size=size), dtype=np.int64)
+        inside = idx[idx < n_slots]
+        chunks.append(inside)
+        if inside.size < idx.size:
+            return np.concatenate(chunks)
+        pos = int(idx[-1])
+
+
 def _pair_block(rng, block_start_ps, n_slots, slot_ps, mu, tau_fall_ps, tau_rise_ps):
     """(idler, signal) emission times for one slot block of one mode."""
-    occ = simulator._occupied_slots(rng, n_slots, mu / (1.0 + mu))
+    occ = _occupied_slots(rng, n_slots, mu / (1.0 + mu))
     if occ.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
