@@ -166,7 +166,7 @@ def heralded(cfg: ExperimentConfig, stream: TagStream) -> HeraldedG2:
     """Autocorrelation of the split signal arm, conditioned on heralds."""
     return heralded_autocorrelation(
         stream, cfg.herald_channel, cfg.signal_channel, cfg.partner_channel, cfg.window_ps,
-        n_max=cfg.n_max,
+        n_max=cfg.n_max, workers=cfg.workers,
     )
 
 
@@ -174,7 +174,7 @@ def metrics(cfg: ExperimentConfig, stream: TagStream) -> CoincidenceMetrics:
     """Singles, coincidences and heralding efficiency in the window."""
     return coincidence_metrics(
         stream, cfg.herald_channel, cfg.signal_channel, cfg.window_ps,
-        eta_det_s=cfg.detector_a_efficiency,
+        eta_det_s=cfg.detector_a_efficiency, workers=cfg.workers,
     )
 
 
@@ -324,11 +324,12 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         )
         g2 = normalized_g2(hist, cfg.window_ps, center_ps=0, floor_region_ps=cfg.floor_region_ps)
         met = metrics(cfg, stream_x)
+        # a stream keeps the channels it selected, so it is dropped once analysed
+        del stream_x
         # heralded arrangement: signal arm split 50/50
-        stream_h = simulate_source(
+        iss = heralded(cfg, simulate_source(
             cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1
-        )
-        iss = heralded(cfg, stream_h)
+        ))
         rows.append((
             pump, met.coincidence_count, met.coincidence_rate_hz, met.heralding_efficiency,
             g2.value, g2.uncertainty, _model_g2_si(cfg, pump), iss.value, iss.uncertainty,
@@ -390,13 +391,14 @@ def cmd_cavity(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
 def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     """full summary across all measurement arrangements"""
     # cross-correlation acquisition (full signal arm on detector A)
-    stream_x = simulate_source(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed)
-    si = xcorr(cfg, stream_x)
+    si = xcorr(cfg, simulate_source(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed))
 
     # signal autocorrelation + heralded acquisition (signal arm split 50/50)
     stream_s = simulate_source(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
     ss = autocorr(cfg, stream_s)
     iss = heralded(cfg, stream_s)
+    # a stream keeps the channels it selected, so it is dropped once analysed
+    del stream_s
 
     # idler autocorrelation: the user's config with the arms swapped
     cfg_ii = replace(cfg, **PRESETS["idler-autocorr"], seed=cfg.seed + 2)

@@ -4,10 +4,10 @@ Everything operates on sorted :class:`~biphoton.tagstream.TagStream` data.
 Histograms are multi-stop: every (start, stop) pair whose delay falls in the
 requested range is counted, which is unbiased at high rates where classical
 start-stop counting saturates.  One kernel counts every pair (binary searches
-for each start's stop range, then one bincount) in fixed-size start chunks
-whose partial histograms sum exactly, so multi-threaded results are
-bit-identical to serial ones.  Every coincidence count is read from its
-histogram over the widest window centred at zero delay.
+for each start's stop range, then one bincount).  Every stop search runs in
+fixed-size start chunks on ``workers`` threads, whose results sum or join in
+order, so threaded results are bit-identical to serial ones.  Every coincidence
+count is read from its histogram over the widest window centred at zero delay.
 """
 
 from __future__ import annotations
@@ -96,14 +96,23 @@ def _stop_ranges(
     return tuple(np.searchsorted(stops, starts + edge, side="left") for edge in (lo, hi))
 
 
+def _chunked(work, starts: np.ndarray, workers: int):
+    """Yield ``work(chunk)`` for each chunk of ``starts``, in order, on ``workers`` threads."""
+    parts = (starts[i : i + _CHUNK_STARTS] for i in range(0, starts.size, _CHUNK_STARTS))
+    if workers > 1 and starts.size > _CHUNK_STARTS:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(work, parts)
+    else:
+        yield from map(work, parts)
+
+
 def _histogram(
-    starts: np.ndarray, stops: np.ndarray, tau_min: int, width: int, n_bins: int, workers: int = 1
+    starts: np.ndarray, stops: np.ndarray, tau_min: int, width: int, n_bins: int, workers: int
 ) -> np.ndarray:
     """Multi-stop counts of stop - start delays in ``n_bins`` bins of ``width``
     from ``tau_min``, over sorted times; start chunks on ``workers`` threads sum exactly."""
 
-    def work(begin: int) -> np.ndarray:
-        part = starts[begin : begin + _CHUNK_STARTS]
+    def work(part: np.ndarray) -> np.ndarray:
         lo, hi = _stop_ranges(part, stops, tau_min, tau_min + n_bins * width)
         mult = hi - lo
         total = int(mult.sum())
@@ -113,11 +122,7 @@ def _histogram(
         bins = (delays - tau_min) // width
         return np.bincount(bins, minlength=n_bins).astype(np.int64, copy=False)
 
-    chunks = range(0, starts.size, _CHUNK_STARTS)
-    if workers > 1 and starts.size > _CHUNK_STARTS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(work, chunks), np.zeros(n_bins, dtype=np.int64))
-    return sum(map(work, chunks), np.zeros(n_bins, dtype=np.int64))
+    return sum(_chunked(work, starts, workers), np.zeros(n_bins, dtype=np.int64))
 
 
 def _window_offsets(window: int) -> tuple[int, int]:
@@ -129,7 +134,7 @@ def _window_offsets(window: int) -> tuple[int, int]:
 
 
 def _window_counts(
-    heralds: np.ndarray, signals: np.ndarray, windows: list[int], workers: int = 1
+    heralds: np.ndarray, signals: np.ndarray, windows: list[int], workers: int
 ) -> list[int]:
     """Herald-signal pairs in each window centred at zero delay, read by
     prefix sums from one kernel histogram over the widest window.  Its bin
@@ -298,6 +303,7 @@ def heralded_autocorrelation(
     channel_b: int,
     window_ps: int,
     n_max: int = 15,
+    workers: int = 1,
 ) -> HeraldedG2:
     """Conditioned autocorrelation of the heralded arm.
 
@@ -316,11 +322,13 @@ def heralded_autocorrelation(
             f"got {heralds.size}"
         )
     w_lo, w_hi = _window_offsets(window)
-    # an arm fired for a herald when its stop range [first, last) is not empty
-    a, b = (
-        np.less(*_stop_ranges(heralds, stream.channel_times(channel), w_lo, w_hi))
-        for channel in (channel_a, channel_b)
-    )
+    arms = [stream.channel_times(channel) for channel in (channel_a, channel_b)]
+
+    def fired(part: np.ndarray) -> np.ndarray:
+        # an arm fired for a herald when its stop range [first, last) is not empty
+        return np.array([np.less(*_stop_ranges(part, stops, w_lo, w_hi)) for stops in arms])
+
+    a, b = np.concatenate(list(_chunked(fired, heralds, workers)), axis=1)
     # H(n) counts the heralds k with a_k and b_(k+n); b gains n_max misses at either end
     b = np.concatenate([np.zeros(n_max, bool), b, np.zeros(n_max, bool)])
     orders = np.arange(-n_max, n_max + 1, dtype=np.int64)
@@ -375,6 +383,7 @@ def coincidence_metrics(
     signal_channel: int,
     window_ps: int,
     eta_det_s: float,
+    workers: int = 1,
 ) -> CoincidenceMetrics:
     """Count heralds, signals and herald-signal pairs in a coincidence window
     and derive the heralding efficiency (detector efficiency divided out).
@@ -391,7 +400,7 @@ def coincidence_metrics(
     duration_s = stream.span_ps * 1e-12
     if duration_s <= 0:
         raise AnalysisError("stream spans no time")
-    (coinc,) = _window_counts(heralds, signals, [int(window_ps)])
+    (coinc,) = _window_counts(heralds, signals, [int(window_ps)], workers)
     herald_rate = heralds.size / duration_s
     signal_rate = signals.size / duration_s
     accidentals = heralds.size * signal_rate * (int(window_ps) * 1e-12)

@@ -388,6 +388,7 @@ def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagSt
     dark_times, dark_channels = _generate_darks(params, duration_ps, seed)
     times = np.concatenate([p[0] for p in photon_parts] + [dark_times])
     channels = np.concatenate([p[1] for p in photon_parts] + [dark_channels])
+    del photon_parts  # temporaries are dropped once used, so they do not raise later peaks
 
     inside = (times >= 0) & (times < duration_ps)
     if params.gate is not None:
@@ -402,12 +403,11 @@ def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagSt
     order = np.lexsort((channels, times))
     times = times[order]
     channels = channels[order]
-    if times.size:
-        distinct = np.empty(times.size, dtype=bool)
-        distinct[0] = True
-        distinct[1:] = (np.diff(times) != 0) | (channels[1:] != channels[:-1])
-        times = times[distinct]
-        channels = channels[distinct]
+    distinct = np.ones(times.size, dtype=bool)
+    distinct[1:] = (np.diff(times) != 0) | (channels[1:] != channels[:-1])
+    times = times[distinct]
+    channels = channels[distinct]
+    del inside, order, distinct
     times, channels = _apply_dead_time(times, channels, params)
     roles = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
     return TagStream(times, channels, channel_labels={c: DEFAULT_ROLES[c] for c in roles})

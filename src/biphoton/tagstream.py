@@ -120,7 +120,7 @@ class TagStream:
         known violations turns it off.
     """
 
-    __slots__ = ("_times", "_channels", "_flags", "_labels")
+    __slots__ = ("_times", "_channels", "_flags", "_labels", "_by_channel")
 
     def __init__(
         self,
@@ -156,6 +156,7 @@ class TagStream:
         if channel_labels is None:
             channel_labels = _default_labels(channels)
         self._labels = dict(channel_labels)
+        self._by_channel: dict[int, np.ndarray] = {}
 
     # -- basic container behaviour -------------------------------------------------
 
@@ -188,11 +189,14 @@ class TagStream:
         return int(self._times[-1] - self._times[0])
 
     def channel_times(self, channel: int) -> np.ndarray:
-        """Timestamps of a single channel (sorted, read-only view copy)."""
-        return self._times[self._channels == channel]
+        """Timestamps of one channel (sorted, read-only), selected once per stream."""
+        if channel not in self._by_channel:
+            self._by_channel[channel] = np.compress(self._channels == channel, self._times)
+            self._by_channel[channel].setflags(write=False)
+        return self._by_channel[channel]
 
     def count(self, channel: int) -> int:
-        return int(np.count_nonzero(self._channels == channel))
+        return self.channel_times(channel).size
 
 
 def write_tags(stream: TagStream, destination) -> int:

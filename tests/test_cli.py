@@ -176,6 +176,35 @@ def test_sweep_window_accepts_any_bin_width(tmp_path, lossless_tags, extra):
     assert [float(r["window_ns"]) for r in _rows(out / "window_sweep.csv")] == list(windows)
 
 
+@pytest.fixture(scope="module")
+def split_tags(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("split")
+    cfg = _write(tmp, "run.cfg", "[run]\npreset = signal-autocorr\nduration_s = 2.0\nseed = 5\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp / "sim")]) == 0
+    return cfg, str(tmp / "sim" / "tags.bin")
+
+
+@pytest.mark.parametrize("command", ["xcorr", "autocorr", "heralded", "metrics", "sweep-window"])
+def test_tags_call_selects_each_channel_once(tmp_path, split_tags, monkeypatch, command):
+    """However often one CLI call on a tag file asks for a channel's times,
+    the stream is scanned for that channel once: every request for it gets
+    the same array."""
+    cfg, tags = split_tags
+    select = TagStream.channel_times
+    calls = []  # keeps every returned array alive, so no two share an id
+
+    def recording(stream, channel):
+        times = select(stream, channel)
+        calls.append((stream, int(channel), times))
+        return times
+
+    monkeypatch.setattr(TagStream, "channel_times", recording)
+    assert main([command, "--config", cfg, "--tags", tags, "--out", str(tmp_path / "o")]) == 0
+    assert len({id(stream) for stream, _, _ in calls}) == 1
+    fills = {(channel, id(times)) for _, channel, times in calls}
+    assert sorted(channel for channel, _ in fills) == sorted({channel for _, channel, _ in calls})
+
+
 def test_heralded_needs_the_herald_channel(tmp_path):
     no_idler = TagStream([100, 200, 300], [0, 1, 0])
     path = tmp_path / "pairs_only.bin"

@@ -377,8 +377,11 @@ def test_coincidence_counts_match_pair_enumeration(soup, window):
         with pytest.raises(AnalysisError, match="spans no time"):
             coincidence_metrics(stream, 2, 0, window, 0.5)
         return
-    metrics = coincidence_metrics(stream, 2, 0, window, 0.5)
-    assert metrics.coincidence_count == _window_pairs(heralds, signals, window)
+    # chunks of 4 heralds, so several chunks run on every worker count
+    with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", 4):
+        for workers in (1, 2, 4):
+            metrics = coincidence_metrics(stream, 2, 0, window, 0.5, workers=workers)
+            assert metrics.coincidence_count == _window_pairs(heralds, signals, window)
     assert metrics.signal_count == len(signals)
     # one herald with a signal at every delay in [-w, w]: the window holds w of them
     delays = range(-window, window + 1)
@@ -421,14 +424,18 @@ def test_heralded_orders_match_enumeration(soup, window, n_max):
         sum(a[k] and b[k + n] for k in range(len(heralds)) if 0 <= k + n < len(heralds))
         for n in range(-n_max, n_max + 1)
     ]
-    if sum(expected) == expected[n_max]:
-        with pytest.raises(AnalysisError, match="cannot normalize"):
-            heralded_autocorrelation(stream, 2, 0, 1, window, n_max=n_max)
-    else:
-        result = heralded_autocorrelation(stream, 2, 0, 1, window, n_max=n_max)
-        assert result.histogram.counts.tolist() == expected
-        assert result.h0 == expected[n_max]
-        assert result.h_other_mean == (sum(expected) - expected[n_max]) / (2 * n_max)
+    # chunks of 4 heralds, so several chunks run on every worker count
+    with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", 4):
+        for workers in (1, 2, 4):
+            if sum(expected) == expected[n_max]:
+                with pytest.raises(AnalysisError, match="cannot normalize"):
+                    heralded_autocorrelation(stream, 2, 0, 1, window, n_max, workers)
+                continue
+            result = heralded_autocorrelation(stream, 2, 0, 1, window, n_max, workers)
+            assert result.histogram.orders.tolist() == list(range(-n_max, n_max + 1))
+            assert result.histogram.counts.tolist() == expected
+            assert result.h0 == expected[n_max]
+            assert result.h_other_mean == (sum(expected) - expected[n_max]) / (2 * n_max)
 
 
 # --- CSV output ----------------------------------------------------------------

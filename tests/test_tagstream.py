@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import tagstream
@@ -165,6 +165,24 @@ def test_default_labels_name_the_channels_present(n, high):
     labels = TagStream(np.arange(n), channels).channel_labels
     assert list(labels) == present
     assert all(labels[c] == DEFAULT_ROLES.get(c, f"ch{c}") for c in present)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)), max_size=60, unique=True))
+@example([])
+def test_channel_times_match_the_mask_and_are_selected_once(records):
+    times = np.array([t for t, _ in sorted(records)], dtype=np.int64)
+    channels = np.array([c for _, c in sorted(records)], dtype=np.uint8)
+    stream = TagStream(times, channels)
+    for channel in range(256):
+        # odd channels are counted before they are selected, even ones after
+        if channel % 2:
+            assert stream.count(channel) == np.count_nonzero(channels == channel)
+        selected = stream.channel_times(channel)
+        assert np.array_equal(selected, times[channels == channel])
+        assert selected.dtype == np.int64 and not selected.flags.writeable
+        assert stream.channel_times(channel) is selected
+        assert stream.count(channel) == np.count_nonzero(channels == channel)
 
 
 def test_read_rejects_time_disorder_with_index():
