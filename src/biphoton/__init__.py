@@ -6,141 +6,13 @@ a stochastic time-tag simulator for a frequency-nondegenerate pair source
 emission, losses, darks and dead time), a multi-stop correlator with windowed
 g2 estimators, peak-shape fitting, and closed-form models for rates, cavity
 losses and classicality bounds. A CLI exposes standard measurement
-arrangements and writes CSV artifacts.
+arrangements and is the one writer of CSV artifacts.
+
+Import names from their submodules (``biphoton.tagstream``,
+``biphoton.simulator``, ``biphoton.correlator``, ``biphoton.fitting``,
+``biphoton.models``, ``biphoton.config``, ``biphoton.cli``); the package root
+holds only ``__version__``, so importing a submodule loads only the modules it
+uses.
 """
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    PRESET_NAMES,
-    config_text,
-    load_config,
-    parse_config,
-    preset_config,
-)
-from .correlator import (
-    AnalysisError,
-    CoincidenceMetrics,
-    CorrelationHistogram,
-    FaselHistogram,
-    G2Result,
-    HeraldedG2,
-    WindowSweepPoint,
-    coincidence_metrics,
-    cross_correlation_histogram,
-    heralded_autocorrelation,
-    normalized_g2,
-    window_sweep,
-    write_fasel_csv,
-    write_histogram_csv,
-)
-from .fitting import (
-    FitResult,
-    evaluate_model,
-    fit_double_exponential,
-    fit_symmetric_exponential,
-)
-from .models import (
-    BiphotonSpec,
-    CavitySolution,
-    DetectorSpec,
-    ModelError,
-    RateBudget,
-    biphoton_from_linewidths,
-    cauchy_schwarz,
-    cavity_solve,
-    conditioned_from_unconditioned,
-    escape_from_heralding,
-    escape_from_losses,
-    finesse_from_rho,
-    g2_power_model,
-    heralding_efficiency,
-    lorentzian_autocorrelation,
-    multimode_bunching,
-    rate_budget,
-    two_sided_capture,
-    window_correction,
-)
-from .simulator import (
-    CHANNEL_IDLER,
-    CHANNEL_SIGNAL_A,
-    CHANNEL_SIGNAL_B,
-    GateSpec,
-    SourceParams,
-    SpectrumScan,
-    cluster_spectrum,
-    effective_mode_number,
-    simulate_source,
-)
-from .tagstream import (
-    FormatError,
-    MonotonicityError,
-    TagStream,
-    TagStreamError,
-    read_tags,
-    write_tags,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AnalysisError",
-    "BiphotonSpec",
-    "CHANNEL_IDLER",
-    "CHANNEL_SIGNAL_A",
-    "CHANNEL_SIGNAL_B",
-    "CavitySolution",
-    "CoincidenceMetrics",
-    "ConfigError",
-    "CorrelationHistogram",
-    "DetectorSpec",
-    "ExperimentConfig",
-    "FaselHistogram",
-    "FitResult",
-    "FormatError",
-    "G2Result",
-    "GateSpec",
-    "HeraldedG2",
-    "ModelError",
-    "MonotonicityError",
-    "PRESET_NAMES",
-    "RateBudget",
-    "SourceParams",
-    "SpectrumScan",
-    "TagStream",
-    "TagStreamError",
-    "WindowSweepPoint",
-    "biphoton_from_linewidths",
-    "cauchy_schwarz",
-    "cavity_solve",
-    "cluster_spectrum",
-    "coincidence_metrics",
-    "conditioned_from_unconditioned",
-    "config_text",
-    "cross_correlation_histogram",
-    "effective_mode_number",
-    "escape_from_heralding",
-    "escape_from_losses",
-    "evaluate_model",
-    "finesse_from_rho",
-    "fit_double_exponential",
-    "fit_symmetric_exponential",
-    "g2_power_model",
-    "heralded_autocorrelation",
-    "heralding_efficiency",
-    "load_config",
-    "lorentzian_autocorrelation",
-    "multimode_bunching",
-    "normalized_g2",
-    "parse_config",
-    "preset_config",
-    "rate_budget",
-    "read_tags",
-    "simulate_source",
-    "two_sided_capture",
-    "window_correction",
-    "window_sweep",
-    "write_fasel_csv",
-    "write_histogram_csv",
-    "write_tags",
-]

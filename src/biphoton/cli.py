@@ -37,6 +37,7 @@ from .correlator import (
     AnalysisError,
     CoincidenceMetrics,
     CorrelationHistogram,
+    FaselHistogram,
     G2Result,
     HeraldedG2,
     coincidence_metrics,
@@ -44,8 +45,6 @@ from .correlator import (
     heralded_autocorrelation,
     normalized_g2,
     window_sweep,
-    write_fasel_csv,
-    write_histogram_csv,
 )
 from .fitting import FitResult, fit_double_exponential, fit_symmetric_exponential
 from .models import (
@@ -114,6 +113,20 @@ def _text(text: str) -> Callable[[str], object]:
 def _csv(columns: str, rows: list[tuple]) -> Callable[[str], object]:
     """A writer for the header line ``columns`` and comma-separated ``rows``."""
     return _text("".join([columns + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows]))
+
+
+def write_histogram_csv(hist: CorrelationHistogram, path: str) -> None:
+    """Write ``delay_ns,counts,normalized`` rows to ``path``, one per bin."""
+    rows = [
+        (f"{center / 1000:.6g}", int(count), f"{norm:.8g}")
+        for center, count, norm in zip(hist.bin_centers_ps, hist.counts, hist.normalized)
+    ]
+    _csv("delay_ns,counts,normalized", rows)(path)
+
+
+def write_fasel_csv(fasel: FaselHistogram, path: str) -> None:
+    """Write ``n,counts`` rows to ``path``, one per herald-separation order."""
+    _csv("n,counts", [(int(n), int(count)) for n, count in zip(fasel.orders, fasel.counts)])(path)
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -315,12 +328,13 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     for index, pump in enumerate(cfg.powers_mw):
         seed = cfg.seed * 10007 + 2 * index
         # coincidence arrangement: the full signal arm on detector A; its g2
-        # is a one-worker histogram read at zero delay, without a fit
+        # is read from the histogram at zero delay, without a fit
         stream_x = simulate_source(
             cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed
         )
         hist = cross_correlation_histogram(
-            stream_x, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps
+            stream_x, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps,
+            workers=cfg.workers,
         )
         g2 = normalized_g2(hist, cfg.window_ps, center_ps=0, floor_region_ps=cfg.floor_region_ps)
         met = metrics(cfg, stream_x)

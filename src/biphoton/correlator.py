@@ -13,7 +13,6 @@ count is read from its histogram over the widest window centred at zero delay.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -442,7 +441,8 @@ def window_sweep(
     workers: int = 1,
 ) -> list[WindowSweepPoint]:
     """Coincidence rate, heralding efficiency and windowed g2 versus the width
-    of a window centred at zero delay, all counts from one kernel histogram."""
+    of a window centred at zero delay: the g2 values from one kernel histogram,
+    the coincidence counts from a second over the widest window."""
     windows = [int(w) for w in windows_ps]
     if not windows or any(w <= 0 for w in windows):
         raise AnalysisError("window widths must be positive")
@@ -478,38 +478,3 @@ def window_sweep(
         for window, coinc, g2 in zip(windows, coincidences, g2s)
     ]
 
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-
-def _open_dest(destination):
-    if isinstance(destination, (str, os.PathLike)):
-        return open(destination, "w", encoding="ascii", newline="\n"), True
-    return destination, False
-
-
-def write_histogram_csv(hist: CorrelationHistogram, destination) -> None:
-    """Write ``delay_ns,counts,normalized`` rows (one per bin)."""
-    fh, owned = _open_dest(destination)
-    try:
-        fh.write("delay_ns,counts,normalized\n")
-        normalized = hist.normalized
-        for center, count, norm in zip(hist.bin_centers_ps, hist.counts, normalized):
-            fh.write(f"{center / 1000:.6g},{int(count)},{norm:.8g}\n")
-    finally:
-        if owned:
-            fh.close()
-
-
-def write_fasel_csv(fasel: FaselHistogram, destination) -> None:
-    """Write ``n,counts`` rows (one per herald-separation order)."""
-    fh, owned = _open_dest(destination)
-    try:
-        fh.write("n,counts\n")
-        for n, count in zip(fasel.orders, fasel.counts):
-            fh.write(f"{int(n)},{int(count)}\n")
-    finally:
-        if owned:
-            fh.close()

@@ -32,6 +32,11 @@ _PARAM_NAMES = {
     SYMMETRIC_EXPONENTIAL: ("floor", "contrast", "tau_decay_s", "tau0_s"),
 }
 
+# both models: the peak position is parameter 3, and parameters 0-2 must stay positive
+_TAU0_INDEX = 3
+_POSITIVE = (0, 1, 2)
+_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -190,14 +195,11 @@ def _solve(
     counts: np.ndarray,
     params: np.ndarray,
     bin_s: float,
-    tau0_index: int,
-    positive: tuple[int, ...],
-    max_iter: int = 200,
 ) -> FitResult:
     fn = _MODELS[model]
 
     def kink_weights(p: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(tau - p[tau0_index]) < 0.5 * bin_s, 0.5, 1.0)
+        return np.where(np.abs(tau - p[_TAU0_INDEX]) < 0.5 * bin_s, 0.5, 1.0)
 
     lam = 1e-3
     f, jac = fn(params, tau)
@@ -205,7 +207,7 @@ def _solve(
     cost = _deviance(counts, f, kink)
     converged = False
     iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         # Gauss-Newton step for the deviance: least squares with weights k/m
         jtw = jac.T * (kink / f)
         hess = jtw @ jac
@@ -220,7 +222,7 @@ def _solve(
                 lam *= 10.0
                 continue
             trial = params + step
-            if any(trial[k] <= 0 for k in positive):
+            if any(trial[k] <= 0 for k in _POSITIVE):
                 lam *= 10.0
                 continue
             f_t, jac_t = fn(trial, tau)
@@ -246,7 +248,7 @@ def _solve(
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         errors = np.full(params.size, np.inf)
-    inside = tau[0] - bin_s / 2 <= params[tau0_index] <= tau[-1] + bin_s / 2
+    inside = tau[0] - bin_s / 2 <= params[_TAU0_INDEX] <= tau[-1] + bin_s / 2
     converged = bool(converged and inside and np.all(np.isfinite(errors) & (errors > 0)))
     return FitResult(model, _PARAM_NAMES[model], params, errors, cost, converged, iteration)
 
@@ -303,9 +305,7 @@ def fit_double_exponential(hist: CorrelationHistogram) -> FitResult:
     init = np.array(
         [amp, LN2 / (TWO_PI * w_fall), LN2 / (TWO_PI * w_rise), tau[peak], max(floor, 1e-3)]
     )
-    return _solve(
-        DOUBLE_EXPONENTIAL, tau, counts, init, bin_s, tau0_index=3, positive=(0, 1, 2)
-    )
+    return _solve(DOUBLE_EXPONENTIAL, tau, counts, init, bin_s)
 
 
 def fit_symmetric_exponential(hist: CorrelationHistogram) -> FitResult:
@@ -330,6 +330,4 @@ def fit_symmetric_exponential(hist: CorrelationHistogram) -> FitResult:
         bin_s,
     )
     init = np.array([floor, contrast, width / LN2, tau[peak]])
-    return _solve(
-        SYMMETRIC_EXPONENTIAL, tau, counts, init, bin_s, tau0_index=3, positive=(0, 1, 2)
-    )
+    return _solve(SYMMETRIC_EXPONENTIAL, tau, counts, init, bin_s)

@@ -112,19 +112,6 @@ def multimode_bunching(n_modes: float) -> float:
     return 1.0 + 1.0 / n_modes
 
 
-def heralding_efficiency(p_si: float, p_i: float, eta_det_s: float) -> float:
-    """Probability that the partner photon is in its fiber when a herald
-    fires, with the partner detector efficiency divided out:
-    eta_H = p_si / (p_i * eta_det_s)."""
-    if p_i <= 0:
-        raise ModelError("herald probability must be positive")
-    if not 0 < eta_det_s <= 1:
-        raise ModelError("detector efficiency must lie in (0, 1]")
-    if p_si < 0:
-        raise ModelError("coincidence probability must be non-negative")
-    return p_si / (p_i * eta_det_s)
-
-
 def escape_from_heralding(
     eta_h: float, eta_t: float, uncorrelated_fraction: float = 0.0
 ) -> float:

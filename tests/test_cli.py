@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +303,23 @@ def test_failed_write_leaves_no_partial_file(tmp_path, lossless_tags, monkeypatc
     out = tmp_path / "x"
     assert main(["xcorr", "--config", cfg, "--tags", tags, "--out", str(out)]) == 3
     assert list(out.iterdir()) == []
+
+
+def test_benchmark_hooks_find_every_cli_name(tmp_path, lossless_tags, monkeypatch):
+    # the benchmark's tracer replaces biphoton.cli attributes by name
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    tracer = spans.Tracer()
+    assert len(spans.counted_sources([0])) == 2
+    restore = spans.patch(spans.traced_functions(tracer))
+    try:
+        cfg, tags = lossless_tags
+        assert main(["xcorr", "--config", cfg, "--tags", tags, "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    names = {span.name for span in tracer.take()}
+    assert {"tagstream.read", "correlator.histogram", "correlator.csv", "fitting.fit"} <= names
 
 
 def test_unknown_preset_is_a_usage_error(capsys):

@@ -1,7 +1,6 @@
 """Correlation analysis against brute-force oracles and exact synthetic
 streams."""
 
-import io
 from unittest import mock
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton.correlator
+from biphoton.cli import write_fasel_csv, write_histogram_csv
 from biphoton.correlator import (
     AnalysisError,
     CorrelationHistogram,
@@ -18,8 +18,6 @@ from biphoton.correlator import (
     heralded_autocorrelation,
     normalized_g2,
     window_sweep,
-    write_fasel_csv,
-    write_histogram_csv,
 )
 from biphoton.tagstream import TagStream
 
@@ -441,11 +439,11 @@ def test_heralded_orders_match_enumeration(soup, window, n_max):
 # --- CSV output ----------------------------------------------------------------
 
 
-def test_histogram_csv_roundtrip():
+def test_histogram_csv_roundtrip(tmp_path):
     hist = _step_histogram()
-    buf = io.StringIO()
-    write_histogram_csv(hist, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "hist.csv"
+    write_histogram_csv(hist, str(path))
+    lines = path.read_text().splitlines()
     assert lines[0] == "delay_ns,counts,normalized"
     assert len(lines) == hist.n_bins + 1
     delay, count, norm = lines[1].split(",")
@@ -454,12 +452,12 @@ def test_histogram_csv_roundtrip():
     assert float(norm) == pytest.approx(hist.normalized[0], rel=1e-6)
 
 
-def test_fasel_csv_roundtrip():
+def test_fasel_csv_roundtrip(tmp_path):
     stream = _triple_stream(100, range(100), range(100))
     result = heralded_autocorrelation(stream, 2, 0, 1, 1_000, n_max=5)
-    buf = io.StringIO()
-    write_fasel_csv(result.histogram, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "orders.csv"
+    write_fasel_csv(result.histogram, str(path))
+    lines = path.read_text().splitlines()
     assert lines[0] == "n,counts"
     rows = [line.split(",") for line in lines[1:]]
     assert [int(r[0]) for r in rows] == list(range(-5, 6))

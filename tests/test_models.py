@@ -17,7 +17,6 @@ from biphoton.models import (
     escape_from_losses,
     finesse_from_rho,
     g2_power_model,
-    heralding_efficiency,
     lorentzian_autocorrelation,
     multimode_bunching,
     rate_budget,
@@ -107,14 +106,6 @@ def test_multimode_bunching_values_and_limits():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ModelError):
         multimode_bunching(0.5)
-
-
-def test_heralding_efficiency_divides_out_detector():
-    assert heralding_efficiency(0.017, 0.1, 0.62) == pytest.approx(0.017 / 0.1 / 0.62)
-    with pytest.raises(ModelError):
-        heralding_efficiency(0.1, 0.0, 0.62)
-    with pytest.raises(ModelError):
-        heralding_efficiency(0.1, 0.5, 0.0)
 
 
 def test_escape_from_heralding():

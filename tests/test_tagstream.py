@@ -2,7 +2,12 @@
 binary file format."""
 
 import io
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +306,17 @@ def test_ordering_rule_matches_brute_force(records):
     with pytest.raises(MonotonicityError) as info:
         read_tags(raw)
     assert info.value.index == index
+
+
+def test_importing_tagstream_loads_no_other_biphoton_module():
+    src = str(Path(tagstream.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys, biphoton.tagstream; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'biphoton')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(out) == ["biphoton", "biphoton.tagstream"]
