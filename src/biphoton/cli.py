@@ -338,7 +338,7 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         )
         g2 = normalized_g2(hist, cfg.window_ps, center_ps=0, floor_region_ps=cfg.floor_region_ps)
         met = metrics(cfg, stream_x)
-        # a stream keeps the channels it selected, so it is dropped once analysed
+        # a stream holds every channel's times, so it is dropped once analysed
         del stream_x
         # heralded arrangement: signal arm split 50/50
         iss = heralded(cfg, simulate_source(
@@ -411,7 +411,7 @@ def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     stream_s = simulate_source(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
     ss = autocorr(cfg, stream_s)
     iss = heralded(cfg, stream_s)
-    # a stream keeps the channels it selected, so it is dropped once analysed
+    # a stream holds every channel's times, so it is dropped once analysed
     del stream_s
 
     # idler autocorrelation: the user's config with the arms swapped

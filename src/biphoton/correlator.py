@@ -88,13 +88,6 @@ class CorrelationHistogram:
         return self.counts / acc
 
 
-def _stop_ranges(
-    starts: np.ndarray, stops: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index ranges [first, last) of the sorted stops in [start + lo, start + hi)."""
-    return tuple(np.searchsorted(stops, starts + edge, side="left") for edge in (lo, hi))
-
-
 def _chunked(work, starts: np.ndarray, workers: int):
     """Yield ``work(chunk)`` for each chunk of ``starts``, in order, on ``workers`` threads."""
     parts = (starts[i : i + _CHUNK_STARTS] for i in range(0, starts.size, _CHUNK_STARTS))
@@ -112,7 +105,9 @@ def _histogram(
     from ``tau_min``, over sorted times; start chunks on ``workers`` threads sum exactly."""
 
     def work(part: np.ndarray) -> np.ndarray:
-        lo, hi = _stop_ranges(part, stops, tau_min, tau_min + n_bins * width)
+        # index range [lo, hi) of the stops in [start + tau_min, start + tau_max)
+        tau_max = tau_min + n_bins * width
+        lo, hi = (np.searchsorted(stops, part + edge) for edge in (tau_min, tau_max))
         mult = hi - lo
         total = int(mult.sum())
         run_start = np.cumsum(mult) - mult
@@ -324,8 +319,14 @@ def heralded_autocorrelation(
     arms = [stream.channel_times(channel) for channel in (channel_a, channel_b)]
 
     def fired(part: np.ndarray) -> np.ndarray:
-        # an arm fired for a herald when its stop range [first, last) is not empty
-        return np.array([np.less(*_stop_ranges(part, stops, w_lo, w_hi)) for stops in arms])
+        # an arm fired for a herald when its first stop at or after herald + w_lo
+        # comes before herald + w_hi
+        rows = np.zeros((2, part.size), dtype=bool)
+        for row, stops in zip(rows, arms):
+            if stops.size:
+                first = np.searchsorted(stops, part + w_lo, side="left")
+                row[:] = (first < stops.size) & (stops.take(first, mode="clip") < part + w_hi)
+        return rows
 
     a, b = np.concatenate(list(_chunked(fired, heralds, workers)), axis=1)
     # H(n) counts the heralds k with a_k and b_(k+n); b gains n_max misses at either end

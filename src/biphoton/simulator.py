@@ -300,62 +300,34 @@ def _generate_photons(
     return np.concatenate(times), np.concatenate(channels)
 
 
-def _generate_darks(
-    params: SourceParams, duration_ps: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dark counts over the whole run; the gate, if any, masks them later."""
-    times = []
-    channels = []
-    rates = {
-        CHANNEL_SIGNAL_A: params.detector_a.dark_rate_hz,
-        CHANNEL_SIGNAL_B: params.detector_b.dark_rate_hz,
-        CHANNEL_IDLER: params.detector_i.dark_rate_hz,
-    }
-    for channel, rate in rates.items():
-        if rate <= 0.0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _SALT_DARKS, channel)))
-        n = rng.poisson(rate * duration_ps / _PS_PER_S)
-        if n == 0:
-            continue
-        times.append(rng.integers(0, duration_ps, size=n, dtype=np.int64))
-        channels.append(np.full(n, channel, dtype=np.uint8))
-    if not times:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    return np.concatenate(times), np.concatenate(channels)
+def _generate_darks(rate_hz: float, duration_ps: int, seed: int, channel: int) -> np.ndarray:
+    """One detector's dark counts over the whole run, unsorted; the gate, if
+    any, masks them later."""
+    if rate_hz <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SALT_DARKS, channel)))
+    n = rng.poisson(rate_hz * duration_ps / _PS_PER_S)
+    return rng.integers(0, duration_ps, size=n, dtype=np.int64)
 
 
-def _apply_dead_time(times: np.ndarray, channels: np.ndarray, params: SourceParams):
-    dead = {
-        CHANNEL_SIGNAL_A: params.detector_a.dead_time_s,
-        CHANNEL_SIGNAL_B: params.detector_b.dead_time_s,
-        CHANNEL_IDLER: params.detector_i.dead_time_s,
-    }
-    if all(v == 0.0 for v in dead.values()):
-        return times, channels
-    keep = np.ones(times.size, dtype=bool)
-    for channel, dead_s in dead.items():
-        if dead_s <= 0.0:
-            continue
-        dead_ps = int(round(dead_s * _PS_PER_S))
-        on_channel = channels == channel
-        t = times[on_channel]
-        # a tag at least dead_ps after its predecessor is always kept, so the
-        # sequential rule runs only over the runs of shorter gaps, each from
-        # the kept tag before it
-        short = np.flatnonzero(np.diff(t) < dead_ps) + 1
-        dropped = []
-        last = previous = None
-        for j, tj, before in zip(short.tolist(), t[short].tolist(), t[short - 1].tolist()):
-            if j - 1 != previous:
-                last = before
-            if tj - last < dead_ps:
-                dropped.append(j)
-            else:
-                last = tj
-            previous = j
-        keep[np.flatnonzero(on_channel)[dropped]] = False
-    return times[keep], channels[keep]
+def _apply_dead_time(times: np.ndarray, dead_ps: int) -> np.ndarray:
+    """One detector's strictly increasing times without the tags that come
+    less than ``dead_ps`` after the last kept one."""
+    # a tag at least dead_ps after its predecessor is always kept, so the
+    # sequential rule runs only over the runs of shorter gaps, each from
+    # the kept tag before it
+    short = np.flatnonzero(np.diff(times) < dead_ps) + 1
+    dropped = []
+    last = previous = None
+    for j, tj, before in zip(short.tolist(), times[short].tolist(), times[short - 1].tolist()):
+        if j - 1 != previous:
+            last = before
+        if tj - last < dead_ps:
+            dropped.append(j)
+        else:
+            last = tj
+        previous = j
+    return np.delete(times, dropped) if dropped else times
 
 
 def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagStream:
@@ -385,32 +357,26 @@ def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagSt
             _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_SIGNAL, True, False),
             _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_IDLER, False, True),
         ]
-    dark_times, dark_channels = _generate_darks(params, duration_ps, seed)
-    times = np.concatenate([p[0] for p in photon_parts] + [dark_times])
-    channels = np.concatenate([p[1] for p in photon_parts] + [dark_channels])
-    del photon_parts  # temporaries are dropped once used, so they do not raise later peaks
-
-    inside = (times >= 0) & (times < duration_ps)
-    if params.gate is not None:
-        open_mask = params.gate.open_mask(times)
-        if not params.gate_darks:
-            # darks happen in the detector, downstream of the optical gate
-            open_mask[times.size - dark_times.size :] = True
-        inside &= open_mask
-    times = times[inside]
-    channels = channels[inside]
-
-    order = np.lexsort((channels, times))
-    times = times[order]
-    channels = channels[order]
-    distinct = np.ones(times.size, dtype=bool)
-    distinct[1:] = (np.diff(times) != 0) | (channels[1:] != channels[:-1])
-    times = times[distinct]
-    channels = channels[distinct]
-    del inside, order, distinct
-    times, channels = _apply_dead_time(times, channels, params)
-    roles = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
-    return TagStream(times, channels, channel_labels={c: DEFAULT_ROLES[c] for c in roles})
+    detectors = (params.detector_a, params.detector_b, params.detector_i)
+    by_channel = {}
+    for channel, detector in zip((CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER), detectors):
+        photons = [t[(c == channel) & (t >= 0) & (t < duration_ps)] for t, c in photon_parts]
+        n_photons = sum(p.size for p in photons)
+        darks = _generate_darks(detector.dark_rate_hz, duration_ps, seed, channel)
+        times = np.concatenate([*photons, darks])
+        del photons, darks  # temporaries are dropped once used, so they do not raise later peaks
+        if params.gate is not None:
+            open_mask = params.gate.open_mask(times)
+            if not params.gate_darks:
+                # darks happen in the detector, downstream of the optical gate
+                open_mask[n_photons:] = True
+            times = times[open_mask]
+        times.sort()
+        # tags in the same picosecond on one detector are one event
+        repeats = np.flatnonzero(times[1:] == times[:-1]) + 1
+        times = np.delete(times, repeats) if repeats.size else times
+        by_channel[channel] = _apply_dead_time(times, int(round(detector.dead_time_s * _PS_PER_S)))
+    return TagStream.from_channels(by_channel, {c: DEFAULT_ROLES[c] for c in by_channel})
 
 
 # ---------------------------------------------------------------------------

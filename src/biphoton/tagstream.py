@@ -1,11 +1,13 @@
 """Time-tag streams and the binary tag-file format.
 
-A tag stream is a time-ordered sequence of detector events, each carrying an
-integer picosecond timestamp, a channel number and a flags byte.  Streams are
-immutable once constructed.  The ordering rule (non-decreasing times,
-simultaneous records in ascending channel order, so no duplicate
-``(time, channel)`` record) is checked in one place, the constructor, and
-the file reader reports its first violation as a :class:`MonotonicityError`.
+A tag stream holds each detector channel's events as one sorted, read-only
+array of integer picosecond timestamps, and is immutable.  The merged (time,
+channel) order exists only where the file format needs it: ``write_tags`` and
+the ``times``/``channels`` views build it on demand.  Its ordering rule
+(non-decreasing times, simultaneous records in ascending channel order, so no
+duplicate ``(time, channel)`` record) is checked in one place, the
+constructor, and the file reader reports its first violation as a
+:class:`MonotonicityError`.
 
 Binary file layout (little-endian):
 
@@ -17,11 +19,11 @@ Binary file layout (little-endian):
             u64 record count
     record  u64 timestamp in picoseconds (at most 2^63 - 1)
             u8  channel
-            u8  flags
+            u8  flags (written as 0, ignored on read)
             u16 reserved
             u32 reserved
 
-Records are stored in the stream's order.  The header carries
+Records are stored in merged order.  The header carries
 no channel-label table, so labels are restored by the conventional mapping
 (0 signal-A, 1 signal-B, 2 idler, 3 trigger, higher channels "ch<n>").
 """
@@ -53,6 +55,11 @@ DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
 # records copied per read, so the raw file buffer is never held whole
 _READ_CHUNK_RECORDS = 1 << 20
+# records split per slice when a stream is built from merged arrays
+_SPLIT_RECORDS = 1 << 20
+# the times of every channel without tags
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
 
 
 class TagStreamError(ValueError):
@@ -91,17 +98,25 @@ def _first_disorder(times: np.ndarray, channels: np.ndarray) -> int:
     return first if first < times.size else 0
 
 
-def _default_labels(channels: np.ndarray) -> dict[int, str]:
-    # a table indexed by channel: np.unique would sort, and np.bincount
-    # would first copy the channels to a 64-bit array
-    seen = np.zeros(256, dtype=bool)
-    seen[channels] = True
-    present = np.flatnonzero(seen)
-    return {int(c): DEFAULT_ROLES.get(int(c), f"ch{int(c)}") for c in present}
+def _split(times: np.ndarray, channels: np.ndarray) -> dict[int, np.ndarray]:
+    """Each present channel's times, copied a slice of records at a time into
+    arrays sized by a first counting pass, so no temporary outgrows a slice."""
+    slices = [slice(at, at + _SPLIT_RECORDS) for at in range(0, times.size, _SPLIT_RECORDS)]
+    counts = [np.bincount(channels[part], minlength=256) for part in slices]
+    total = sum(counts, np.zeros(256, dtype=np.int64))
+    out = {int(c): np.empty(total[c], dtype=np.int64) for c in np.flatnonzero(total)}
+    filled = dict.fromkeys(out, 0)
+    for part, n in zip(slices, counts):
+        for channel, dest in out.items():
+            at = filled[channel]
+            np.compress(channels[part] == channel, times[part], out=dest[at : at + n[channel]])
+            filled[channel] = at + n[channel]
+    return out
 
 
 class TagStream:
-    """Immutable, time-ordered collection of detector events.
+    """Immutable detector events, held as one sorted, read-only time array
+    per channel; built from merged records, or by :meth:`from_channels`.
 
     Parameters
     ----------
@@ -110,8 +125,6 @@ class TagStream:
     channels : array-like of int
         Channel number per tag (0..255); simultaneous tags must be in
         ascending channel order.
-    flags : array-like of int, optional
-        Flags byte per tag (defaults to zero).
     channel_labels : mapping, optional
         channel -> role string.  Defaults to the conventional mapping for the
         channels present.
@@ -120,24 +133,19 @@ class TagStream:
         known violations turns it off.
     """
 
-    __slots__ = ("_times", "_channels", "_flags", "_labels", "_by_channel")
+    __slots__ = ("_by_channel", "_labels", "_len", "_span_ps")
 
     def __init__(
         self,
         times,
         channels,
-        flags=None,
         channel_labels: dict[int, str] | None = None,
         validate: bool = True,
     ) -> None:
         times = np.ascontiguousarray(times, dtype=np.int64)
         channels = np.ascontiguousarray(channels, dtype=np.uint8)
-        if flags is None:
-            flags = np.zeros(times.shape, dtype=np.uint8)
-        else:
-            flags = np.ascontiguousarray(flags, dtype=np.uint8)
-        if times.ndim != 1 or channels.shape != times.shape or flags.shape != times.shape:
-            raise TagStreamError("times, channels and flags must be 1-D arrays of equal length")
+        if times.ndim != 1 or channels.shape != times.shape:
+            raise TagStreamError("times and channels must be 1-D arrays of equal length")
         if validate and times.size:
             if times[0] < 0:
                 raise TagStreamError("negative timestamps are not allowed")
@@ -148,34 +156,62 @@ class TagStream:
                 raise TagStreamError(f"duplicate (time, channel) record at index {i}", i)
             if i:
                 raise TagStreamError(f"simultaneous tags not in channel order at index {i}", i)
-        for arr in (times, channels, flags):
-            arr.setflags(write=False)
-        self._times = times
-        self._channels = channels
-        self._flags = flags
-        if channel_labels is None:
-            channel_labels = _default_labels(channels)
-        self._labels = dict(channel_labels)
-        self._by_channel: dict[int, np.ndarray] = {}
+        self._fill(_split(times, channels), channel_labels)
 
-    # -- basic container behaviour -------------------------------------------------
+    @classmethod
+    def from_channels(
+        cls, by_channel: dict[int, np.ndarray], channel_labels: dict[int, str] | None = None
+    ) -> TagStream:
+        """Stream from each channel's times, which must be non-negative and
+        strictly increasing; labels default as for the constructor."""
+        arrays = {}
+        for channel, times in by_channel.items():
+            times = np.ascontiguousarray(times, dtype=np.int64)
+            back = times[1:] <= times[:-1]
+            if back.any():
+                i = int(np.argmax(back)) + 1
+                raise TagStreamError(f"channel {channel}: times not increasing at index {i}", i)
+            if times.size and times[0] < 0:
+                raise TagStreamError(f"channel {channel}: negative timestamps are not allowed")
+            arrays[int(channel)] = times
+        stream = cls.__new__(cls)
+        stream._fill(arrays, channel_labels)
+        return stream
+
+    def _fill(self, by_channel: dict[int, np.ndarray], channel_labels) -> None:
+        for times in by_channel.values():
+            times.setflags(write=False)
+        self._by_channel = by_channel
+        held = [t for t in by_channel.values() if t.size]
+        self._len = sum(t.size for t in held)
+        self._span_ps = int(max(t[-1] for t in held) - min(t[0] for t in held)) if held else 0
+        if channel_labels is None:
+            present = sorted(c for c, t in by_channel.items() if t.size)
+            channel_labels = {c: DEFAULT_ROLES.get(c, f"ch{c}") for c in present}
+        self._labels = dict(channel_labels)
 
     def __len__(self) -> int:
-        return self._times.size
+        return self._len
 
-    # -- accessors ------------------------------------------------------------------
+    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """All (times, channels) in file order, built anew on each call."""
+        order = sorted(self._by_channel)
+        times = np.concatenate([_EMPTY, *(self._by_channel[c] for c in order)])
+        sizes = [self._by_channel[c].size for c in order]
+        channels = np.repeat(np.array(order, dtype=np.uint8), sizes)
+        # the stable sort keeps simultaneous tags in the channel order they were joined in
+        perm = np.argsort(times, kind="stable")
+        return times[perm], channels[perm]
 
     @property
     def times(self) -> np.ndarray:
-        return self._times
+        """Every timestamp in file order (a new array on each access)."""
+        return self._merged()[0]
 
     @property
     def channels(self) -> np.ndarray:
-        return self._channels
-
-    @property
-    def flags(self) -> np.ndarray:
-        return self._flags
+        """The channel of each tag in file order (a new array on each access)."""
+        return self._merged()[1]
 
     @property
     def channel_labels(self):
@@ -184,16 +220,12 @@ class TagStream:
     @property
     def span_ps(self) -> int:
         """Time between first and last tag, in picoseconds."""
-        if not len(self):
-            return 0
-        return int(self._times[-1] - self._times[0])
+        return self._span_ps
 
     def channel_times(self, channel: int) -> np.ndarray:
-        """Timestamps of one channel (sorted, read-only), selected once per stream."""
-        if channel not in self._by_channel:
-            self._by_channel[channel] = np.compress(self._channels == channel, self._times)
-            self._by_channel[channel].setflags(write=False)
-        return self._by_channel[channel]
+        """Timestamps of one channel (sorted, read-only); empty for a channel
+        with no tags."""
+        return self._by_channel.get(channel, _EMPTY)
 
     def count(self, channel: int) -> int:
         return self.channel_times(channel).size
@@ -205,7 +237,7 @@ def write_tags(stream: TagStream, destination) -> int:
     ``destination`` may be a path or a binary file object.  Returns the number
     of bytes written.  Timestamps must be non-negative.
     """
-    times = stream.times
+    times, channels = stream._merged()
     if times.size and int(times[0]) < 0:
         raise TagStreamError("timestamps do not fit the unsigned 64-bit file format")
     header = HEADER_STRUCT.pack(
@@ -218,8 +250,7 @@ def write_tags(stream: TagStream, destination) -> int:
     )
     records = np.zeros(len(stream), dtype=RECORD_DTYPE)
     records["time"] = times.astype(np.uint64)
-    records["channel"] = stream.channels
-    records["flags"] = stream.flags
+    records["channel"] = channels
     payload = records.tobytes()
 
     if hasattr(destination, "write"):
@@ -264,7 +295,6 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         )
     times = np.empty(record_count, dtype=np.int64)
     channels = np.empty(record_count, dtype=np.uint8)
-    flags = np.empty(record_count, dtype=np.uint8)
     for at in range(0, record_count, _READ_CHUNK_RECORDS):
         n = min(_READ_CHUNK_RECORDS, record_count - at)
         records = np.frombuffer(
@@ -275,9 +305,8 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         # the range is only examined once that check has failed
         times[at : at + n] = records["time"]
         channels[at : at + n] = records["channel"]
-        flags[at : at + n] = records["flags"]
     try:
-        return TagStream(times, channels, flags)
+        return TagStream(times, channels)
     except TagStreamError as exc:
         if times.min() < 0:
             first = int(np.argmax(times < 0))

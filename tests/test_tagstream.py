@@ -35,8 +35,7 @@ def _random_stream(n, seed):
     gaps = rng.integers(1, 2_000, size=n, dtype=np.int64)
     times = np.cumsum(gaps)
     channels = rng.integers(0, 4, size=n, dtype=np.int64)
-    flags = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    return TagStream(times, channels.astype(np.uint8), flags)
+    return TagStream(times, channels.astype(np.uint8))
 
 
 def _file_bytes(stream):
@@ -58,7 +57,6 @@ def test_roundtrip_million_tags(tmp_path):
     back = read_tags(path)
     assert np.array_equal(back.times, stream.times)
     assert np.array_equal(back.channels, stream.channels)
-    assert np.array_equal(back.flags, stream.flags)
     assert HEADER_STRUCT.unpack_from(path.read_bytes())[3] == 1
     # a second pass through the format changes nothing
     assert _file_bytes(back) == path.read_bytes()
@@ -134,22 +132,32 @@ def test_read_rejects_timestamps_beyond_int64():
             read_tags(io.BytesIO(_header(records=len(rows)) + payload))
 
 
-def _records(rows):
+def _records(rows, flags=0):
     arr = np.zeros(len(rows), dtype=RECORD_DTYPE)
     for i, (t, c) in enumerate(rows):
-        arr[i] = (t, c, 0, 0, 0)
+        arr[i] = (t, c, flags, 0, 0)
     return arr.tobytes()
 
 
+def test_flag_bytes_are_ignored_on_read_and_written_as_zero():
+    rows = [(5, 0), (9, 2), (9, 3), (14, 0)]
+    stream = read_tags(io.BytesIO(_header(channels=3, records=4) + _records(rows, flags=0xA5)))
+    assert list(stream.times) == [5, 9, 9, 14]
+    assert list(stream.channels) == [0, 2, 3, 0]
+    records = np.frombuffer(_file_bytes(stream)[HEADER_STRUCT.size :], dtype=RECORD_DTYPE)
+    assert records.tolist() == np.frombuffer(_records(rows), dtype=RECORD_DTYPE).tolist()
+
+
 def test_read_copies_records_in_chunks(monkeypatch):
-    """Files of several read chunks: the columns come back whole, and an
-    error found across a chunk boundary names the record by its file index."""
+    """Files of several read chunks and split slices: the columns come back
+    whole, and an error found across a chunk boundary names the record by
+    its file index."""
     monkeypatch.setattr(tagstream, "_READ_CHUNK_RECORDS", 4)
+    monkeypatch.setattr(tagstream, "_SPLIT_RECORDS", 3)
     stream = _random_stream(10, seed=8)
     back = read_tags(io.BytesIO(_file_bytes(stream)))
     assert np.array_equal(back.times, stream.times)
     assert np.array_equal(back.channels, stream.channels)
-    assert np.array_equal(back.flags, stream.flags)
 
     rows = [(10 * k, 0) for k in range(10)]
     # record 8 opens the third chunk and steps back before record 7
@@ -244,18 +252,37 @@ def test_constructor_rejects_negative_times():
         TagStream([-1, 5], [0, 0])
 
 
+@pytest.mark.parametrize(
+    "times, match",
+    [([-3, 5], "negative"), ([4, 4, 9], "index 1"), ([1, 8, 7], "index 2")],
+    ids=["negative", "repeated", "decreasing"],
+)
+def test_from_channels_rejects_times_that_are_not_strictly_increasing(times, match):
+    with pytest.raises(TagStreamError, match=match):
+        TagStream.from_channels({0: [2, 6], 1: times})
+
+
+def test_from_channels_matches_the_merged_constructor():
+    merged = TagStream([5, 9, 9, 14, 20], [0, 2, 3, 0, 2])
+    stream = TagStream.from_channels({3: [9], 0: [5, 14], 2: [9, 20], 1: []})
+    assert np.array_equal(stream.times, merged.times)
+    assert np.array_equal(stream.channels, merged.channels)
+    assert (len(stream), stream.span_ps) == (len(merged), merged.span_ps)
+    assert dict(stream.channel_labels) == dict(merged.channel_labels)
+    assert not stream.channel_times(0).flags.writeable
+
+
 def test_constructor_accepts_tied_times_in_channel_order():
     stream = TagStream([10, 10, 10], [0, 1, 3])
     assert len(stream) == 3
 
 
 def test_from_tags_and_accessors():
-    stream = TagStream([5, 9, 9, 14], [0, 2, 3, 0], [0, 0, 0, 1])
+    stream = TagStream([5, 9, 9, 14], [0, 2, 3, 0])
     assert len(stream) == 4
     assert stream.count(0) == 2
     assert stream.count(7) == 0
     assert list(stream.channel_times(0)) == [5, 14]
-    assert stream.flags[-1] == 1
     assert stream.channel_labels[2] == "idler"
     assert stream.span_ps == 9
 
