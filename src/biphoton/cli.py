@@ -327,17 +327,15 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     rows = []
     for index, pump in enumerate(cfg.powers_mw):
         seed = cfg.seed * 10007 + 2 * index
-        # coincidence arrangement: the full signal arm on detector A; its g2
-        # is read from the histogram at zero delay, without a fit
+        # coincidence arrangement: the full signal arm on detector A; its count
+        # and g2 come from the zero-delay window and the floor, without a fit
         stream_x = simulate_source(
             cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed
         )
-        hist = cross_correlation_histogram(
-            stream_x, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps,
-            workers=cfg.workers,
+        (x,) = window_sweep(
+            stream_x, cfg.herald_channel, cfg.signal_channel, [cfg.window_ps],
+            cfg.detector_a_efficiency, cfg.floor_region_ps, workers=cfg.workers,
         )
-        g2 = normalized_g2(hist, cfg.window_ps, center_ps=0, floor_region_ps=cfg.floor_region_ps)
-        met = metrics(cfg, stream_x)
         # a stream holds every channel's times, so it is dropped once analysed
         del stream_x
         # heralded arrangement: signal arm split 50/50
@@ -345,8 +343,8 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
             cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1
         ))
         rows.append((
-            pump, met.coincidence_count, met.coincidence_rate_hz, met.heralding_efficiency,
-            g2.value, g2.uncertainty, _model_g2_si(cfg, pump), iss.value, iss.uncertainty,
+            pump, x.coincidence_count, x.coincidence_rate_hz, x.heralding_efficiency,
+            x.g2, x.g2_uncertainty, _model_g2_si(cfg, pump), iss.value, iss.uncertainty,
         ))
     columns = (
         "power_mw,coincidences,coincidence_rate_hz,eta_h,"
@@ -364,7 +362,6 @@ def cmd_sweep_window(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Li
         cfg.signal_channel,
         cfg.windows_ps,
         eta_det_s=cfg.detector_a_efficiency,
-        bin_width_ps=cfg.bin_ps,
         floor_region_ps=cfg.floor_region_ps,
         workers=cfg.workers,
     )

@@ -185,6 +185,10 @@ class ExperimentConfig:
             )
         if list(self.windows_ns) != sorted(self.windows_ns):
             raise ConfigError("sweep windows must be ascending", ("windows_ns",))
+        for key, window in (("window_ns", self.window_ps), ("windows_ns", max(self.windows_ps))):
+            if window / 2 > self.floor_region_ps[0]:
+                msg = f"floor region overlaps the coincidence window: half of {key} > floor_min_ns"
+                raise ConfigError(msg, (key, "floor_min_ns"))
         if self.workers < 1:
             raise ConfigError("workers must be >= 1", ("workers",))
         if self.n_max < 1:

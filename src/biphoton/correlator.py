@@ -6,8 +6,9 @@ requested range is counted, which is unbiased at high rates where classical
 start-stop counting saturates.  One kernel counts every pair (binary searches
 for each start's stop range, then one bincount).  Every stop search runs in
 fixed-size start chunks on ``workers`` threads, whose results sum or join in
-order, so threaded results are bit-identical to serial ones.  Every coincidence
-count is read from its histogram over the widest window centred at zero delay.
+order, so threaded results are bit-identical to serial ones.  Windows centred
+at zero delay, and their accidental floor, are counted in exact picoseconds by
+one stop search per analysis; peak-centred g2 reads the histogram it is given.
 """
 
 from __future__ import annotations
@@ -127,14 +128,13 @@ def _window_offsets(window: int) -> tuple[int, int]:
     return -(window // 2), window - window // 2
 
 
-def _window_counts(
-    heralds: np.ndarray, signals: np.ndarray, windows: list[int], workers: int
+def _range_counts(
+    heralds: np.ndarray, signals: np.ndarray, bounds: list[tuple[int, int]], workers: int
 ) -> list[int]:
-    """Herald-signal pairs in each window centred at zero delay, read by
-    prefix sums from one kernel histogram over the widest window.  Its bin
-    width is the gcd of the window edges measured from the lowest edge, so
-    every window is a whole number of bins (a single window is one bin)."""
-    bounds = [_window_offsets(w) for w in windows]
+    """Herald-signal pairs with delay in each ``[lo, hi)`` of ``bounds``, read
+    by prefix sums from one kernel histogram over all of them.  Its bin width is
+    the gcd of the edges measured from the lowest edge, so every range is a
+    whole number of bins (a single range is one bin)."""
     origin = min(lo for lo, _ in bounds)
     width = math.gcd(*(edge - origin for bound in bounds for edge in bound))
     n_bins = (max(hi for _, hi in bounds) - origin) // width
@@ -202,6 +202,27 @@ class G2Result:
     floor_counts: int
 
 
+def _floor_region(window: int, floor_region_ps: tuple[int, int]) -> tuple[int, int]:
+    """The floor's distance bounds from the window centre, checked against the window."""
+    f_lo, f_hi = (int(f) for f in floor_region_ps)
+    if f_lo <= 0 or f_hi <= f_lo:
+        raise AnalysisError("floor region must satisfy 0 < lo < hi")
+    if window / 2 > f_lo:
+        raise AnalysisError("floor region overlaps the coincidence window")
+    return f_lo, f_hi
+
+
+def _g2_ratio(
+    s_window: int, width_window: float, s_floor: int, width_floor: float
+) -> tuple[float, float]:
+    """Windowed g2 and its Poisson uncertainty: counts per unit width in the
+    window over counts per unit width in the accidental floor."""
+    if s_floor == 0:
+        raise AnalysisError("no counts in the floor region; cannot normalize")
+    value = (s_window / width_window) / (s_floor / width_floor)
+    return value, value * math.sqrt(1.0 / max(s_window, 1) + 1.0 / s_floor)
+
+
 def normalized_g2(
     hist: CorrelationHistogram,
     window_ps: int,
@@ -223,15 +244,10 @@ def normalized_g2(
         center = int(centers[int(np.argmax(hist.counts))])
     else:
         center = int(center_ps)
-    w_lo, w_hi = center - window / 2, center + window / 2
-    in_window = (centers >= w_lo) & (centers < w_hi)
-    f_lo, f_hi = floor_region_ps
-    if f_lo <= 0 or f_hi <= f_lo:
-        raise AnalysisError("floor region must satisfy 0 < lo < hi")
+    f_lo, f_hi = _floor_region(window, floor_region_ps)
+    in_window = (centers >= center - window / 2) & (centers < center + window / 2)
     dist = np.abs(centers - center)
     in_floor = (dist >= f_lo) & (dist <= f_hi)
-    if window / 2 > f_lo:
-        raise AnalysisError("floor region overlaps the coincidence window")
     n_window = int(in_window.sum())
     n_floor = int(in_floor.sum())
     if n_window == 0:
@@ -240,18 +256,14 @@ def normalized_g2(
         raise AnalysisError("floor region contains no bins")
     s_window = int(hist.counts[in_window].sum())
     s_floor = int(hist.counts[in_floor].sum())
-    if s_floor == 0:
-        raise AnalysisError("no counts in the floor region; cannot normalize")
-    floor_per_bin = s_floor / n_floor
-    value = (s_window / n_window) / floor_per_bin
-    uncertainty = value * math.sqrt(1.0 / max(s_window, 1) + 1.0 / s_floor)
+    value, uncertainty = _g2_ratio(s_window, n_window, s_floor, n_floor)
     return G2Result(
         value=value,
         uncertainty=uncertainty,
         window_ps=window,
         center_ps=center,
-        floor_per_bin=floor_per_bin,
-        floor_region_ps=(int(f_lo), int(f_hi)),
+        floor_per_bin=s_floor / n_floor,
+        floor_region_ps=(f_lo, f_hi),
         window_counts=s_window,
         floor_counts=s_floor,
     )
@@ -400,7 +412,7 @@ def coincidence_metrics(
     duration_s = stream.span_ps * 1e-12
     if duration_s <= 0:
         raise AnalysisError("stream spans no time")
-    (coinc,) = _window_counts(heralds, signals, [int(window_ps)], workers)
+    (coinc,) = _range_counts(heralds, signals, [_window_offsets(int(window_ps))], workers)
     herald_rate = heralds.size / duration_s
     signal_rate = signals.size / duration_s
     accidentals = heralds.size * signal_rate * (int(window_ps) * 1e-12)
@@ -437,45 +449,31 @@ def window_sweep(
     signal_channel: int,
     windows_ps,
     eta_det_s: float,
-    bin_width_ps: int = 5_000,
     floor_region_ps: tuple[int, int] = (1_000_000, 5_000_000),
     workers: int = 1,
 ) -> list[WindowSweepPoint]:
     """Coincidence rate, heralding efficiency and windowed g2 versus the width
-    of a window centred at zero delay: the g2 values from one kernel histogram,
-    the coincidence counts from a second over the widest window."""
+    of a window centred at zero delay.  One stop search counts the pairs in
+    every window and in the floor ``[-max, -min)`` and ``[min, max)``; each g2
+    is the window's pairs per ps over the floor's."""
     windows = [int(w) for w in windows_ps]
     if not windows or any(w <= 0 for w in windows):
         raise AnalysisError("window widths must be positive")
     if sorted(windows) != windows:
         raise AnalysisError("window widths must be ascending")
-    bin_width = int(bin_width_ps)
-    if bin_width <= 0:
-        raise AnalysisError("bin width must be positive")
-    # whole bins from -(floor max + widest window); bins past the floor are not read
-    tau_min = -int(floor_region_ps[1] + max(windows))
-    tau_max = -tau_min + (2 * tau_min) % bin_width
-    hist = cross_correlation_histogram(
-        stream,
-        herald_channel,
-        signal_channel,
-        bin_width,
-        (tau_min, tau_max),
-        workers=workers,
-    )
+    f_lo, f_hi = _floor_region(windows[-1], floor_region_ps)
     heralds = stream.channel_times(herald_channel)
-    coincidences = _window_counts(heralds, stream.channel_times(signal_channel), windows, workers)
+    if heralds.size == 0:
+        raise AnalysisError(f"no tags on herald channel {herald_channel}")
+    bounds = [_window_offsets(w) for w in windows] + [(-f_hi, -f_lo), (f_lo, f_hi)]
+    *coincidences, below, above = _range_counts(
+        heralds, stream.channel_times(signal_channel), bounds, workers
+    )
+    # formed first: a floor pair lies at least floor min apart, so the stream spans time
+    floor = (below + above, 2 * (f_hi - f_lo))
+    g2s = [_g2_ratio(coinc, window, *floor) for window, coinc in zip(windows, coincidences)]
     duration_s = stream.span_ps * 1e-12
-    g2s = [normalized_g2(hist, window, 0, floor_region_ps) for window in windows]
     return [
-        WindowSweepPoint(
-            window_ps=window,
-            coincidence_count=coinc,
-            coincidence_rate_hz=coinc / duration_s,
-            heralding_efficiency=(coinc / heralds.size) / eta_det_s,
-            g2=g2.value,
-            g2_uncertainty=g2.uncertainty,
-        )
+        WindowSweepPoint(window, coinc, coinc / duration_s, coinc / heralds.size / eta_det_s, *g2)
         for window, coinc, g2 in zip(windows, coincidences, g2s)
     ]
-

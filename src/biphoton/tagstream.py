@@ -166,7 +166,7 @@ class TagStream:
         strictly increasing; labels default as for the constructor."""
         arrays = {}
         for channel, times in by_channel.items():
-            times = np.ascontiguousarray(times, dtype=np.int64)
+            times = np.array(times, dtype=np.int64)  # a copy: the stream freezes it
             back = times[1:] <= times[:-1]
             if back.any():
                 i = int(np.argmax(back)) + 1

@@ -167,14 +167,54 @@ def test_sweep_window_uses_tags_and_divisor(tmp_path, lossless_tags):
     "[analysis]\nbin_ns = 7\ntau_range_ns = 3500\n",
 ], ids=["windows-50-100-201", "bin-7ns"])
 def test_sweep_window_accepts_any_bin_width(tmp_path, lossless_tags, extra):
-    # the g2 histogram spans +-(floor_max_ns + widest window), which need not
-    # be a whole number of bins
+    # windows and floor are counted in exact picoseconds, whether or not their
+    # edges lie on the bin_ns grid
     cfg, tags = lossless_tags
     swept = _write(tmp_path, "w.cfg", open(cfg).read() + extra)
     out = tmp_path / "w"
     assert main(["sweep-window", "--config", swept, "--tags", tags, "--out", str(out)]) == 0
     windows = parse_config(open(swept).read()).windows_ns
     assert [float(r["window_ns"]) for r in _rows(out / "window_sweep.csv")] == list(windows)
+
+
+def _count_stop_searches(monkeypatch):
+    """Record each call of the correlator's kernel histogram in the returned list."""
+    calls = []
+    kernel = biphoton.correlator._histogram
+
+    def counting(*args):
+        calls.append(args[2:])
+        return kernel(*args)
+
+    monkeypatch.setattr(biphoton.correlator, "_histogram", counting)
+    return calls
+
+
+def test_sweep_window_is_one_stop_search_whatever_the_bin_width(
+    tmp_path, lossless_tags, monkeypatch
+):
+    cfg, tags = lossless_tags
+    calls = _count_stop_searches(monkeypatch)
+    sweeps = []
+    for bin_ns in (5, 7):
+        swept = _write(
+            tmp_path, f"b{bin_ns}.cfg",
+            open(cfg).read() + f"[analysis]\nbin_ns = {bin_ns}\ntau_range_ns = 3500\n",
+        )
+        out = tmp_path / f"b{bin_ns}"
+        calls.clear()
+        assert main(["sweep-window", "--config", swept, "--tags", tags, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        sweeps.append((out / "window_sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
+
+
+def test_sweep_power_is_one_stop_search_per_coincidence_point(tmp_path, monkeypatch):
+    calls = _count_stop_searches(monkeypatch)
+    body = "[sweep]\npowers_mw = 0.5, 1.0\npoint_duration_s = 2.0\n[run]\nseed = 5\n"
+    cfg = _write(tmp_path, "p.cfg", body)
+    assert main(["sweep-power", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")

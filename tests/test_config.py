@@ -192,6 +192,11 @@ def test_parse_errors_carry_line_numbers():
      ("floor_min_ns", "floor_max_ns")),
     ("[analysis]\nfloor_min_ns = 1000.0001\nfloor_max_ns = 1000.0004\n", 3,
      ("floor_min_ns", "floor_max_ns")),
+    ("[analysis]\nfloor_min_ns = 150\n", 2, ("window_ns", "floor_min_ns")),
+    ("[analysis]\nwindow_ns = 2000.002\n", 2, ("window_ns", "floor_min_ns")),
+    ("[sweep]\nwindows_ns = 50, 2400\n", 2, ("windows_ns", "floor_min_ns")),
+    ("[analysis]\nfloor_min_ns = 300\n[sweep]\nwindows_ns = 100, 700\n", 4,
+     ("windows_ns", "floor_min_ns")),
 ])
 def test_value_errors_carry_line_numbers(text, lineno, keys):
     with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:

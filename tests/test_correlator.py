@@ -333,6 +333,8 @@ def test_window_sweep_rejects_bad_windows():
         window_sweep(stream, 2, 0, [200, 100], 0.5)
     with pytest.raises(AnalysisError, match="positive"):
         window_sweep(stream, 2, 0, [], 0.5)
+    with pytest.raises(AnalysisError, match="overlaps"):
+        window_sweep(stream, 2, 0, [100, 2_000_002], 0.5)
 
 
 # --- pair counts against brute-force enumeration ---------------------------------
@@ -389,25 +391,29 @@ def test_coincidence_counts_match_pair_enumeration(soup, window):
 
 
 @_PROPERTY
-@given(_soups(), st.lists(st.integers(1, 400), min_size=1, max_size=5).map(sorted), st.data())
-def test_window_sweep_counts_match_pair_enumeration_for_any_worker_count(soup, windows, data):
+@given(_soups(), st.lists(st.integers(1, 400), min_size=1, max_size=5).map(sorted))
+def test_window_sweep_counts_match_pair_enumeration_for_any_worker_count(soup, windows):
     heralds, signals, partners = soup
     # one far herald-signal pair in the floor region, outside every window, so
     # the g2 normalisation always has a floor count
     heralds, signals = heralds + [20_000], signals + [21_000]
     stream = _stream(heralds, signals, partners)
-    bin_width = data.draw(st.integers(1, windows[0]))
     expected = [_window_pairs(heralds, signals, w) for w in windows]
+    # the floor covers the delays [-5000, -500) and [500, 5000), 9000 ps in all
+    floor = sum(-5_000 <= s - h < -500 or 500 <= s - h < 5_000 for h in heralds for s in signals)
+    g2s = [(c / w) / (floor / 9_000) for c, w in zip(expected, windows)]
+    g2_errs = [g * np.sqrt(1 / max(c, 1) + 1 / floor) for g, c in zip(g2s, expected)]
     with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", 4):
         for workers in (1, 2, 4):
             points = window_sweep(
-                stream, 2, 0, windows, 0.5, bin_width_ps=bin_width,
-                floor_region_ps=(500, 5_000), workers=workers,
+                stream, 2, 0, windows, 0.5, floor_region_ps=(500, 5_000), workers=workers
             )
             assert [p.coincidence_count for p in points] == expected
             assert [p.heralding_efficiency for p in points] == [
                 c / len(heralds) / 0.5 for c in expected
             ]
+            assert [p.g2 for p in points] == pytest.approx(g2s, rel=1e-12)
+            assert [p.g2_uncertainty for p in points] == pytest.approx(g2_errs, rel=1e-12)
 
 
 @_PROPERTY

@@ -272,6 +272,14 @@ def test_from_channels_matches_the_merged_constructor():
     assert not stream.channel_times(0).flags.writeable
 
 
+def test_from_channels_copies_the_callers_arrays():
+    times = np.array([3, 8, 12], dtype=np.int64)
+    stream = TagStream.from_channels({0: times})
+    assert times.flags.writeable
+    times[:] = 0
+    assert list(stream.channel_times(0)) == [3, 8, 12]
+
+
 def test_constructor_accepts_tied_times_in_channel_order():
     stream = TagStream([10, 10, 10], [0, 1, 3])
     assert len(stream) == 3
