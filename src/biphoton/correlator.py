@@ -469,7 +469,7 @@ def window_sweep(
     *coincidences, below, above = _range_counts(
         heralds, stream.channel_times(signal_channel), bounds, workers
     )
-    # formed first: a floor pair lies at least floor min apart, so the stream spans time
+    # g2 first: it raises unless a floor pair exists, and a floor pair makes span_ps > 0
     floor = (below + above, 2 * (f_hi - f_lo))
     g2s = [_g2_ratio(coinc, window, *floor) for window, coinc in zip(windows, coincidences)]
     duration_s = stream.span_ps * 1e-12
