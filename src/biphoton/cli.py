@@ -117,11 +117,9 @@ def _csv(columns: str, rows: list[tuple]) -> Callable[[str], object]:
 
 def write_histogram_csv(hist: CorrelationHistogram, path: str) -> None:
     """Write ``delay_ns,counts,normalized`` rows to ``path``, one per bin."""
-    rows = [
-        (f"{center / 1000:.6g}", int(count), f"{norm:.8g}")
-        for center, count, norm in zip(hist.bin_centers_ps, hist.counts, hist.normalized)
-    ]
-    _csv("delay_ns,counts,normalized", rows)(path)
+    rows = zip(hist.bin_centers_ps.tolist(), hist.counts.tolist(), hist.normalized.tolist())
+    lines = [f"{center / 1000:.6g},{count},{norm:.8g}\n" for center, count, norm in rows]
+    _text("".join(["delay_ns,counts,normalized\n", *lines]))(path)
 
 
 def write_fasel_csv(fasel: FaselHistogram, path: str) -> None:
@@ -330,7 +328,8 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         # coincidence arrangement: the full signal arm on detector A; its count
         # and g2 come from the zero-delay window and the floor, without a fit
         stream_x = simulate_source(
-            cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed
+            cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed,
+            workers=cfg.workers,
         )
         (x,) = window_sweep(
             stream_x, cfg.herald_channel, cfg.signal_channel, [cfg.window_ps],
@@ -340,7 +339,8 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         del stream_x
         # heralded arrangement: signal arm split 50/50
         iss = heralded(cfg, simulate_source(
-            cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1
+            cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1,
+            workers=cfg.workers,
         ))
         rows.append((
             pump, x.coincidence_count, x.coincidence_rate_hz, x.heralding_efficiency,
@@ -402,10 +402,11 @@ def cmd_cavity(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
 def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     """full summary across all measurement arrangements"""
     # cross-correlation acquisition (full signal arm on detector A)
-    si = xcorr(cfg, simulate_source(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed))
+    simulate = partial(simulate_source, workers=cfg.workers)
+    si = xcorr(cfg, simulate(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed))
 
     # signal autocorrelation + heralded acquisition (signal arm split 50/50)
-    stream_s = simulate_source(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
+    stream_s = simulate(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
     ss = autocorr(cfg, stream_s)
     iss = heralded(cfg, stream_s)
     # a stream holds every channel's times, so it is dropped once analysed
@@ -413,7 +414,7 @@ def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
 
     # idler autocorrelation: the user's config with the arms swapped
     cfg_ii = replace(cfg, **PRESETS["idler-autocorr"], seed=cfg.seed + 2)
-    stream_i = simulate_source(cfg_ii.make_source(), cfg_ii.duration_s, cfg_ii.seed)
+    stream_i = simulate(cfg_ii.make_source(), cfg_ii.duration_s, cfg_ii.seed)
     ii = autocorr(cfg_ii, stream_i)
 
     r_window = cauchy_schwarz(
@@ -485,7 +486,7 @@ def _run(command: _Command, cfg: ExperimentConfig, args: argparse.Namespace) -> 
             stream = read_tags(args.tags)
             duration_s = stream.span_ps * 1e-12
         else:
-            stream = simulate_source(cfg.make_source(), cfg.duration_s, cfg.seed)
+            stream = simulate_source(cfg.make_source(), cfg.duration_s, cfg.seed, cfg.workers)
             duration_s = cfg.duration_s
         lines.append(("duration_s", duration_s))
     lines += command.run(cfg, stream, save)

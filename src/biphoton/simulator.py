@@ -37,12 +37,18 @@ takes two per mode), each seeded from (seed, salt, mode, block) and split
 into one sub-stream per stage (slots, emission offsets, outcomes, delays), so
 no stage shifts another's draws; each detector's darks come from a seed of
 their own.  A gate only masks: it changes neither the grid nor the seeds.
+Each (mode, block) draw and each detector's cut, gate, sort, dedupe and dead
+time is a task on ``workers`` threads; the tasks join in order, so any worker
+count gives the same stream.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -241,9 +247,10 @@ def _generate_photons(
     salt: int,
     keep_signal: bool,
     keep_idler: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All surviving photon detection tags as (times, channels), unsorted;
-    only the arms asked for are kept, and only pairs they see are drawn."""
+) -> list[Callable[[], dict[int, np.ndarray]]]:
+    """One task per (mode, block), each returning the block's surviving
+    photon times per channel, unsorted; only the arms asked for are kept, and
+    only pairs they see are drawn."""
     slot_ps = max(int(round(params.slot_s * _PS_PER_S)), 1)
     central_rate = params.central_pair_rate_hz
     tau_fall_ps = _PS_PER_S / (2.0 * math.pi * params.signal_linewidth_hz)
@@ -252,10 +259,39 @@ def _generate_photons(
     p_a = signal_common * params.splitter_ratio * params.detector_a.efficiency
     p_b = signal_common * (1.0 - params.splitter_ratio) * params.detector_b.efficiency
     idler_common = params.escape_i * params.transmission_i * params.detector_i.efficiency
-
     n_slots_run = -(-duration_ps // slot_ps)
-    times = []
-    channels = []
+
+    def draw(mode: int, block: int, mu: float, q: float, edges: np.ndarray):
+        # one sub-stream per stage, so no stage shifts another's draws
+        slot_rng, offset_rng, outcome_rng, delay_rng = (
+            np.random.default_rng(s)
+            for s in np.random.SeedSequence((seed, salt, mode, block)).spawn(4)
+        )
+        n_slots = min(_SLOTS_PER_BLOCK, n_slots_run - block * _SLOTS_PER_BLOCK)
+        idler = _pair_slots(slot_rng, n_slots, mu)
+        idler += block * _SLOTS_PER_BLOCK
+        idler *= slot_ps
+        idler += offset_rng.integers(0, slot_ps, size=idler.size, dtype=np.int64)
+        if params.gate is not None:
+            # pairs are created only while the gate is open
+            idler = idler[params.gate.open_mask(idler)]
+        u = outcome_rng.random(idler.size)
+        u *= q
+        outcome = np.searchsorted(edges, u, side="right").astype(np.uint8)
+        del u
+        with_signal = outcome < 4
+        signal = idler[with_signal]
+        # outcomes 0 and 2 reach signal-A, the odd ones 1 and 3 signal-B
+        odd = (outcome[with_signal] & 1).view(bool)
+        idler = idler[outcome >= 2]
+        del outcome, with_signal
+        n = signal.size
+        delay = (tau_fall_ps * delay_rng.standard_exponential(n)
+                 - tau_rise_ps * delay_rng.standard_exponential(n))
+        signal += np.rint(delay).astype(np.int64)
+        return {CHANNEL_IDLER: idler, CHANNEL_SIGNAL_A: signal[~odd], CHANNEL_SIGNAL_B: signal[odd]}
+
+    tasks = []
     w0 = params.mode_weights[0]
     for mode, weight in enumerate(params.mode_weights):
         filt = params.idler_filter_transmission if mode == 0 else params.idler_filter_extinction
@@ -267,37 +303,11 @@ def _generate_photons(
         q = sum(outcome_probs)
         # mean number of pairs per slot that leave a kept detection
         mu = central_rate * (weight / w0) * (slot_ps / _PS_PER_S) * q
-        if mu <= 0.0:
-            continue
-        edges = np.cumsum(outcome_probs[:-1])
-        for block in range(-(-n_slots_run // _SLOTS_PER_BLOCK)):
-            # one sub-stream per stage, so no stage shifts another's draws
-            slot_rng, offset_rng, outcome_rng, delay_rng = (
-                np.random.default_rng(s)
-                for s in np.random.SeedSequence((seed, salt, mode, block)).spawn(4)
-            )
-            n_slots = min(_SLOTS_PER_BLOCK, n_slots_run - block * _SLOTS_PER_BLOCK)
-            slots = block * _SLOTS_PER_BLOCK + _pair_slots(slot_rng, n_slots, mu)
-            idler = slots * slot_ps + offset_rng.integers(
-                0, slot_ps, size=slots.size, dtype=np.int64
-            )
-            if params.gate is not None:
-                # pairs are created only while the gate is open
-                idler = idler[params.gate.open_mask(idler)]
-            outcome = np.searchsorted(edges, outcome_rng.random(idler.size) * q, side="right")
-            kept = idler[outcome >= 2]
-            times.append(kept)
-            channels.append(np.full(kept.size, CHANNEL_IDLER, dtype=np.uint8))
-            with_signal = outcome < 4
-            n = int(np.count_nonzero(with_signal))
-            delay = (tau_fall_ps * delay_rng.standard_exponential(n)
-                     - tau_rise_ps * delay_rng.standard_exponential(n))
-            times.append(idler[with_signal] + np.rint(delay).astype(np.int64))
-            # outcomes 0 and 2 reach signal-A (channel 0), 1 and 3 signal-B
-            channels.append((outcome[with_signal] % 2).astype(np.uint8))
-    if not times:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    return np.concatenate(times), np.concatenate(channels)
+        if mu > 0.0:
+            edges = np.cumsum(outcome_probs[:-1])
+            tasks += [partial(draw, mode, block, mu, q, edges)
+                      for block in range(-(-n_slots_run // _SLOTS_PER_BLOCK))]
+    return tasks
 
 
 def _generate_darks(rate_hz: float, duration_ps: int, seed: int, channel: int) -> np.ndarray:
@@ -330,14 +340,36 @@ def _apply_dead_time(times: np.ndarray, dead_ps: int) -> np.ndarray:
     return np.delete(times, dropped) if dropped else times
 
 
-def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagStream:
+def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on this thread and up to ``workers - 1``
+    more, each taking the next item in turn; one pool thread fewer is one
+    allocator arena fewer keeping freed temporaries."""
+    results = [None] * len(items)
+    todo = iter(range(len(items)))
+
+    def run() -> None:
+        for i in todo:
+            results[i] = fn(items[i])
+
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(run) for _ in range(min(workers, len(items)) - 1)]
+        run()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
+def simulate_source(
+    params: SourceParams, duration_s: float, seed: int, workers: int = 1
+) -> TagStream:
     """Generate the detection record of a measurement run.
 
     Returns a picosecond stream on channels signal-A, signal-B and
     idler.  With ``params.pair_correlations`` False the signal and idler
     photons come from two independent realizations of the same thermal
     process: each arm keeps its singles rates and bunching, but there are no
-    cross-correlations (a classical surrogate for sanity checks).
+    cross-correlations (a classical surrogate for sanity checks).  The
+    draws and detectors run as tasks on ``workers`` threads.
     """
     if duration_s <= 0:
         raise ModelError("duration must be positive")
@@ -349,22 +381,22 @@ def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagSt
         raise ModelError("duration overflows the 64-bit picosecond clock")
 
     if params.pair_correlations:
-        photon_parts = [
-            _generate_photons(params, duration_ps, seed, _SALT_PAIRS, True, True)
-        ]
+        tasks = _generate_photons(params, duration_ps, seed, _SALT_PAIRS, True, True)
     else:
-        photon_parts = [
-            _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_SIGNAL, True, False),
-            _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_IDLER, False, True),
-        ]
-    detectors = (params.detector_a, params.detector_b, params.detector_i)
-    by_channel = {}
-    for channel, detector in zip((CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER), detectors):
-        photons = [t[(c == channel) & (t >= 0) & (t < duration_ps)] for t, c in photon_parts]
+        tasks = _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_SIGNAL, True, False)
+        tasks += _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_IDLER, False, True)
+    parts = _in_order(lambda task: task(), tasks, workers)
+    channels = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
+    detectors = dict(zip(channels, (params.detector_a, params.detector_b, params.detector_i)))
+
+    def detect(channel: int) -> np.ndarray:
+        detector = detectors[channel]
+        # each block's array is dropped once joined, so it does not raise later peaks
+        photons = [part.pop(channel) for part in parts]
         n_photons = sum(p.size for p in photons)
         darks = _generate_darks(detector.dark_rate_hz, duration_ps, seed, channel)
         times = np.concatenate([*photons, darks])
-        del photons, darks  # temporaries are dropped once used, so they do not raise later peaks
+        del photons, darks
         if params.gate is not None:
             open_mask = params.gate.open_mask(times)
             if not params.gate_darks:
@@ -372,10 +404,13 @@ def simulate_source(params: SourceParams, duration_s: float, seed: int) -> TagSt
                 open_mask[n_photons:] = True
             times = times[open_mask]
         times.sort()
+        times = times[np.searchsorted(times, 0) : np.searchsorted(times, duration_ps)]
         # tags in the same picosecond on one detector are one event
         repeats = np.flatnonzero(times[1:] == times[:-1]) + 1
         times = np.delete(times, repeats) if repeats.size else times
-        by_channel[channel] = _apply_dead_time(times, int(round(detector.dead_time_s * _PS_PER_S)))
+        return _apply_dead_time(times, int(round(detector.dead_time_s * _PS_PER_S)))
+
+    by_channel = dict(zip(channels, _in_order(detect, channels, workers)))
     return TagStream.from_channels(by_channel, {c: DEFAULT_ROLES[c] for c in by_channel})
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 from pathlib import Path
 
@@ -390,6 +391,29 @@ def test_power_sweep_csv_and_worker_determinism(tmp_path):
     # stronger pumping lowers the predicted and simulated pair correlation
     assert float(rows[0]["g2_si_model"]) > float(rows[1]["g2_si_model"])
     assert float(rows[0]["g2_si"]) > float(rows[1]["g2_si"])
+
+
+@pytest.mark.parametrize("command,n_calls", [("report", 3), ("sweep-power", 4), ("xcorr", 1)])
+def test_every_simulation_runs_on_the_configured_workers(
+    tmp_path, monkeypatch, command, n_calls
+):
+    simulate = biphoton.cli.simulate_source
+    workers = []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(simulate).bind(*args, **kwargs)
+        call.apply_defaults()
+        workers.append(call.arguments["workers"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(biphoton.cli, "simulate_source", spy)
+    body = (
+        "[sweep]\npowers_mw = 0.5, 1.0\npoint_duration_s = 2.0\n"
+        "[analysis]\nworkers = 3\n[run]\nduration_s = 4.0\nseed = 5\n"
+    )
+    cfg = _write(tmp_path, "w.cfg", body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "w")]) == 0
+    assert workers == [3] * n_calls
 
 
 def test_cavity_report_matches_the_closed_form(tmp_path, capsys):

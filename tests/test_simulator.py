@@ -34,26 +34,101 @@ def test_simulation_is_deterministic_per_seed():
     assert not np.array_equal(a.times, c.times)
 
 
-@pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", [
+_FROZEN_STREAMS = [
     ("reference", 3, 5.0, 0.0, 28383,
      "c4cd085d05009d70518540dd504cea19865d4b318f6a910a888c6166fdb803ac"),
     ("signal-autocorr", 7, 4.0, 50.0, 22498,
      "871e120a1bb136da90fa2cf98b5aa1acd3fdf6eca50ddfe6fc95d49e21719227"),
     ("idler-autocorr", 11, 3.0, 0.0, 19710,
      "20d9736a0ae8b1363fbff761911a3e72f9b50dd6cfc6ff31e4965146c7ea352a"),
-])
-def test_ungated_streams_are_frozen(preset, seed, duration, dead_ns, n_tags, digest):
-    """Ungated draws are pinned: a change to the order of random draws must
-    show up here, not only in statistical tests."""
+]
+
+
+def _frozen_stream(preset, seed, duration, dead_ns, workers):
+    """(tag count, sha256 of the merged times and channels) of one preset run."""
     cfg = replace(
         preset_config(preset),
         detector_a_dead_ns=dead_ns, detector_b_dead_ns=dead_ns, detector_i_dead_ns=dead_ns,
     )
-    stream = simulate_source(cfg.make_source(), duration, seed)
+    stream = simulate_source(cfg.make_source(), duration, seed, workers=workers)
     sha = hashlib.sha256(stream.times.astype("<i8").tobytes())
     sha.update(stream.channels.astype("u1").tobytes())
-    assert stream.times.size == n_tags
-    assert sha.hexdigest() == digest
+    return stream.times.size, sha.hexdigest()
+
+
+@pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", _FROZEN_STREAMS)
+def test_ungated_streams_are_frozen(preset, seed, duration, dead_ns, n_tags, digest):
+    """Ungated draws are pinned: a change to the order of random draws must
+    show up here, not only in statistical tests."""
+    assert _frozen_stream(preset, seed, duration, dead_ns, workers=1) == (n_tags, digest)
+
+
+@pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", _FROZEN_STREAMS)
+def test_ungated_streams_are_frozen_on_two_workers(
+    preset, seed, duration, dead_ns, n_tags, digest
+):
+    assert _frozen_stream(preset, seed, duration, dead_ns, workers=2) == (n_tags, digest)
+
+
+def _detector(efficiency):
+    return st.builds(
+        DetectorSpec,
+        st.just(efficiency),
+        st.sampled_from([0.0, 2_000.0]),
+        st.sampled_from([0.0, 50e-9, 2e-6]),
+    )
+
+
+# short runs: several modes, gates with and without gated darks, the
+# uncorrelated surrogate, dead time, and pump powers up to a dense 40 mW
+_SHORT_SOURCES = st.builds(
+    SourceParams,
+    pump_mw=st.sampled_from([0.5, 5.0, 40.0]),
+    mode_weights=st.sampled_from([(1.0,), (1.0, 0.6, 0.6), (1.0, 0.8, 0.8, 0.45, 0.45)]),
+    idler_filter_extinction=st.sampled_from([0.0, 0.05]),
+    splitter_ratio=st.sampled_from([1.0, 0.5]),
+    detector_a=_detector(0.5),
+    detector_b=_detector(0.4),
+    detector_i=_detector(0.6),
+    gate=st.none() | st.builds(
+        GateSpec, st.integers(500_000, 5_000_000), st.sampled_from([0.3, 0.5, 1.0])
+    ),
+    gate_darks=st.booleans(),
+    pair_correlations=st.booleans(),
+)
+
+
+def _per_channel(stream):
+    return [stream.channel_times(c) for c in (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)]
+
+
+def _same_on_any_worker_count(params, duration_s, seed):
+    serial = _per_channel(simulate_source(params, duration_s, seed, workers=1))
+    for workers in (2, 4):
+        threaded = _per_channel(simulate_source(params, duration_s, seed, workers=workers))
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded)), workers
+    return serial
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_SHORT_SOURCES, st.sampled_from([0.05, 0.2]), st.integers(0, 2**31))
+def test_streams_do_not_depend_on_the_worker_count(params, duration_s, seed):
+    _same_on_any_worker_count(params, duration_s, seed)
+
+
+def test_two_block_run_does_not_depend_on_the_worker_count():
+    """1 ns slots over 1.5 s are more than 2^30 slots, so each mode draws
+    from two blocks."""
+    params = SourceParams(
+        pump_mw=0.05, mode_weights=(1.0, 0.5), coherence_slot_s=1e-9,
+        detector_a=DetectorSpec(1.0, 100.0, 1e-7),
+    )
+    assert 1.5 / params.slot_s > simulator._SLOTS_PER_BLOCK
+    a, _, idler = _same_on_any_worker_count(params, 1.5, 12)
+    # both blocks hold tags
+    block_end_ps = simulator._SLOTS_PER_BLOCK * 1000
+    assert (idler < block_end_ps).any() and (idler >= block_end_ps).any()
+    assert (a < block_end_ps).any() and (a >= block_end_ps).any()
 
 
 def test_invalid_runs_are_rejected():

@@ -108,6 +108,15 @@ def _per_pair_photons(params, duration_ps, seed, salt, keep_signal, keep_idler):
     return np.concatenate(times), np.concatenate(channels)
 
 
+def _per_pair_tasks(*args):
+    """The oracle in the generator's shape: a list of tasks, here one, each
+    giving its photon times per channel."""
+    times, channels = _per_pair_photons(*args)
+    channel_ids = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
+    by_channel = {c: times[channels == c] for c in channel_ids}
+    return [lambda: by_channel]
+
+
 # --- statistics of one run ----------------------------------------------------------
 
 DURATION_S = 0.2
@@ -169,7 +178,7 @@ def test_thin_first_generator_matches_the_per_pair_oracle(monkeypatch, name):
     of the two generators agree within 4 standard errors."""
     params = SOURCES[name]
     new = _statistics_over_seeds(params)
-    monkeypatch.setattr(simulator, "_generate_photons", _per_pair_photons)
+    monkeypatch.setattr(simulator, "_generate_photons", _per_pair_tasks)
     old = _statistics_over_seeds(params)
     assert old["singles_i"].mean() > 2_000 and old["singles_a"].mean() > 1_000
     assert old["coinc_ab_400000"].mean() > 50 and old["coinc_ia_20000"].mean() > 5
