@@ -261,7 +261,7 @@ def _generate_photons(
     idler_common = params.escape_i * params.transmission_i * params.detector_i.efficiency
     n_slots_run = -(-duration_ps // slot_ps)
 
-    def draw(mode: int, block: int, mu: float, q: float, edges: np.ndarray):
+    def draw(mode: int, block: int, mu: float, q: float, edges: np.ndarray) -> dict:
         # one sub-stream per stage, so no stage shifts another's draws
         slot_rng, offset_rng, outcome_rng, delay_rng = (
             np.random.default_rng(s)
@@ -323,6 +323,8 @@ def _generate_darks(rate_hz: float, duration_ps: int, seed: int, channel: int) -
 def _apply_dead_time(times: np.ndarray, dead_ps: int) -> np.ndarray:
     """One detector's strictly increasing times without the tags that come
     less than ``dead_ps`` after the last kept one."""
+    if dead_ps <= 0:
+        return times
     # a tag at least dead_ps after its predecessor is always kept, so the
     # sequential rule runs only over the runs of shorter gaps, each from
     # the kept tag before it
@@ -345,7 +347,7 @@ def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
     more, each taking the next item in turn; one pool thread fewer is one
     allocator arena fewer keeping freed temporaries."""
     results = [None] * len(items)
-    todo = iter(range(len(items)))
+    todo = iter(range(len(items)))  # shared; each next() is atomic under the GIL
 
     def run() -> None:
         for i in todo:

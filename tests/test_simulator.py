@@ -1,6 +1,7 @@
 """Statistical and structural behavior of the stochastic pair source."""
 
 import hashlib
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,35 @@ def test_two_block_run_does_not_depend_on_the_worker_count():
     block_end_ps = simulator._SLOTS_PER_BLOCK * 1000
     assert (idler < block_end_ps).any() and (idler >= block_end_ps).any()
     assert (a < block_end_ps).any() and (a >= block_end_ps).any()
+
+
+def test_tasks_run_once_each_under_fast_thread_switching():
+    """More threads than cores and a thread switch every microsecond: every
+    item is taken exactly once and its result lands in its own place."""
+    taken = []
+
+    def square(i):
+        taken.append(i)
+        if i == 7:
+            raise ValueError("task 7")
+        return i * i
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3, 8):
+            taken.clear()
+            items = [i for i in range(400) if i != 7]
+            assert simulator._in_order(square, items, workers) == [i * i for i in items]
+            assert sorted(taken) == items
+            with pytest.raises(ValueError, match="task 7"):
+                simulator._in_order(square, list(range(50)), workers)
+        params = SourceParams(pump_mw=20.0, mode_weights=(1.0, 0.6, 0.6, 0.3, 0.3))
+        want = _per_channel(simulate_source(params, 0.3, 4))
+        got = _per_channel(simulate_source(params, 0.3, 4, workers=8))
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_invalid_runs_are_rejected():
