@@ -90,7 +90,7 @@ class ExperimentConfig:
     reference_window_ns: float = 400.0
     signal_linewidth_mhz: float = 3.7
     idler_linewidth_mhz: float = 2.3
-    fsr_mhz: float = 423.0
+    fsr_mhz: float = 423.0  # recorded with the run; the simulator does not use it
     mode_weights: tuple[float, ...] = (1.0, 0.8, 0.8, 0.45, 0.45, 0.2, 0.2, 0.1, 0.1)
     escape_s: float = 0.44
     escape_i: float = 0.74
@@ -193,6 +193,10 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1", ("workers",))
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1", ("n_max",))
+        if self.fsr_mhz <= 0:
+            raise ConfigError(
+                "bad value for 'fsr_mhz': free spectral range must be positive", ("fsr_mhz",)
+            )
         try:
             self.make_source()
         except ValueError as exc:  # ModelError, or GateSpec's ValueError
@@ -230,7 +234,6 @@ class ExperimentConfig:
             reference_window_s=self.reference_window_ns * 1e-9,
             signal_linewidth_hz=self.signal_linewidth_mhz * 1e6,
             idler_linewidth_hz=self.idler_linewidth_mhz * 1e6,
-            fsr_hz=self.fsr_mhz * 1e6,
             mode_weights=self.mode_weights,
             escape_s=self.escape_s,
             escape_i=self.escape_i,

@@ -143,16 +143,6 @@ _MODELS = {
 }
 
 
-def evaluate_model(model: str, params, tau_s) -> np.ndarray:
-    """Model curve on a delay grid (seconds)."""
-    try:
-        fn = _MODELS[model]
-    except KeyError:
-        raise AnalysisError(f"unknown model {model!r}") from None
-    f, _ = fn(np.asarray(params, dtype=float), np.asarray(tau_s, dtype=float))
-    return f
-
-
 def finite_difference_check(model: str, params, tau_s, rel_step: float = 1e-6) -> float:
     """Largest deviation between the analytic Jacobian and central
     differences, relative to the Jacobian scale.  The caller should keep the

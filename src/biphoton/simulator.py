@@ -1,5 +1,5 @@
 """Monte Carlo generation of detector time tags for a cavity-enhanced
-photon-pair source, plus synthesis of its longitudinal-mode spectrum.
+photon-pair source.
 
 Statistics model
 ----------------
@@ -101,8 +101,8 @@ class SourceParams:
     ``creation_prob_per_mw`` is the pair-creation probability of the central
     mode per ``reference_window_s`` and per mW of pump; side modes scale it
     by ``mode_weights[m] / mode_weights[0]``.  Mode index 0 is the central
-    (filter-transmitted) mode; odd/even indices 2k-1, 2k sit at +/- k times
-    the free spectral range.
+    (filter-transmitted) mode; odd/even indices 2k-1, 2k are the k-th modes
+    above and below it.
 
     ``splitter_ratio`` is the fraction of surviving signal photons routed to
     signal-A (1.0 means no splitter, 0.5 a balanced one).  The idler filter
@@ -123,7 +123,6 @@ class SourceParams:
     reference_window_s: float = 400e-9
     signal_linewidth_hz: float = 3.7e6
     idler_linewidth_hz: float = 2.3e6
-    fsr_hz: float = 423e6
     mode_weights: tuple[float, ...] = (1.0,)
     escape_s: float = 1.0
     escape_i: float = 1.0
@@ -148,8 +147,6 @@ class SourceParams:
             raise ModelError("reference window must be positive")
         if self.signal_linewidth_hz <= 0 or self.idler_linewidth_hz <= 0:
             raise ModelError("linewidths must be positive")
-        if self.fsr_hz <= 0:
-            raise ModelError("free spectral range must be positive")
         if not self.mode_weights or min(self.mode_weights) < 0 or max(self.mode_weights) == 0:
             raise ModelError("mode weights must be non-negative with at least one positive")
         if self.mode_weights[0] <= 0:
@@ -180,41 +177,6 @@ class SourceParams:
     def central_pair_rate_hz(self) -> float:
         """Created pairs per second in the central mode at the set pump."""
         return self.creation_prob_per_mw * self.pump_mw / self.reference_window_s
-
-    def mode_offsets_hz(self) -> np.ndarray:
-        """Frequency offset of each configured mode from the central one."""
-        idx = np.arange(len(self.mode_weights))
-        k = (idx + 1) // 2
-        sign = np.where(idx % 2 == 1, 1.0, -1.0)
-        sign[0] = 0.0
-        return sign * k * self.fsr_hz
-
-
-@dataclass(frozen=True)
-class SpectrumScan:
-    """Synthesized scanning-cavity trace of the signal mode cluster."""
-
-    frequency_offsets_hz: np.ndarray
-    intensity: np.ndarray
-    heralded_intensity: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (
-            len(self.frequency_offsets_hz) == len(self.intensity) == len(self.heralded_intensity)
-        ):
-            raise ModelError("scan arrays must have equal length")
-        if self.intensity.size and (self.intensity.min() < 0 or self.heralded_intensity.min() < 0):
-            raise ModelError("intensities must be non-negative")
-
-
-def effective_mode_number(mode_weights) -> float:
-    """Effective number of equally bright modes carrying the same statistics:
-    (sum w)^2 / sum w^2.  Equal weights give the plain mode count."""
-    w = np.asarray(mode_weights, dtype=float)
-    if w.size == 0 or np.any(w < 0) or not np.any(w > 0):
-        raise ModelError("mode weights must be non-negative with at least one positive")
-    s = w.sum()
-    return float(s * s / np.square(w).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -414,38 +376,3 @@ def simulate_source(
 
     by_channel = dict(zip(channels, _in_order(detect, channels, workers)))
     return TagStream.from_channels(by_channel, {c: DEFAULT_ROLES[c] for c in by_channel})
-
-
-# ---------------------------------------------------------------------------
-# mode-cluster spectrum
-# ---------------------------------------------------------------------------
-
-
-def cluster_spectrum(
-    params: SourceParams,
-    scan_range_hz: float,
-    scan_resolution_hz: float,
-    fpi_linewidth_hz: float,
-) -> SpectrumScan:
-    """Scanning-cavity view of the signal mode cluster.
-
-    The comb of modes (spacing = free spectral range, relative intensities =
-    ``mode_weights``) is convolved with the Lorentzian response of the
-    scanning filter.  The heralded trace repeats this with every non-central
-    mode attenuated by the idler filter extinction, since only heralds from
-    the transmitted mode select signal photons.
-    """
-    if scan_range_hz <= 0 or scan_resolution_hz <= 0 or fpi_linewidth_hz <= 0:
-        raise ModelError("scan range, resolution and filter linewidth must be positive")
-    offsets_mode = params.mode_offsets_hz()
-    span = max(scan_range_hz, float(np.abs(offsets_mode).max()))
-    n = int(math.floor(span / scan_resolution_hz))
-    freq = np.arange(-n, n + 1, dtype=float) * scan_resolution_hz
-    gamma = 0.5 * fpi_linewidth_hz
-    weights = np.asarray(params.mode_weights, dtype=float)
-    heralded_weights = weights * np.where(
-        np.arange(weights.size) == 0, 1.0, params.idler_filter_extinction
-    )
-    det2 = np.square(freq[:, None] - offsets_mode[None, :])
-    lorentz = gamma * gamma / (det2 + gamma * gamma)
-    return SpectrumScan(freq, lorentz @ weights, lorentz @ heralded_weights)

@@ -2,8 +2,8 @@
 
 A tag stream holds each detector channel's events as one sorted, read-only
 array of integer picosecond timestamps, and is immutable.  The merged (time,
-channel) order exists only where the file format needs it: ``write_tags`` and
-the ``times``/``channels`` views build it on demand.  Its ordering rule
+channel) order exists only where the file format needs it: ``write_tags``
+builds it on demand.  Its ordering rule
 (non-decreasing times, simultaneous records in ascending channel order, so no
 duplicate ``(time, channel)`` record) is checked in one place, the
 constructor, and the file reader reports its first violation as a
@@ -53,10 +53,9 @@ RECORD_DTYPE = np.dtype(
 #: conventional channel numbering used by the simulator and restored on read
 DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
-# records copied per read, so the raw file buffer is never held whole
-_READ_CHUNK_RECORDS = 1 << 20
-# records split per slice when a stream is built from merged arrays
-_SPLIT_RECORDS = 1 << 20
+# records per file read and per split slice, so neither the raw file buffer
+# nor a split temporary is ever held whole
+_CHUNK_RECORDS = 1 << 20
 # the times of every channel without tags
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -101,7 +100,7 @@ def _first_disorder(times: np.ndarray, channels: np.ndarray) -> int:
 def _split(times: np.ndarray, channels: np.ndarray) -> dict[int, np.ndarray]:
     """Each present channel's times, copied a slice of records at a time into
     arrays sized by a first counting pass, so no temporary outgrows a slice."""
-    slices = [slice(at, at + _SPLIT_RECORDS) for at in range(0, times.size, _SPLIT_RECORDS)]
+    slices = [slice(at, at + _CHUNK_RECORDS) for at in range(0, times.size, _CHUNK_RECORDS)]
     counts = [np.bincount(channels[part], minlength=256) for part in slices]
     total = sum(counts, np.zeros(256, dtype=np.int64))
     out = {int(c): np.empty(total[c], dtype=np.int64) for c in np.flatnonzero(total)}
@@ -193,26 +192,6 @@ class TagStream:
     def __len__(self) -> int:
         return self._len
 
-    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (times, channels) in file order, built anew on each call."""
-        order = sorted(self._by_channel)
-        times = np.concatenate([_EMPTY, *(self._by_channel[c] for c in order)])
-        sizes = [self._by_channel[c].size for c in order]
-        channels = np.repeat(np.array(order, dtype=np.uint8), sizes)
-        # the stable sort keeps simultaneous tags in the channel order they were joined in
-        perm = np.argsort(times, kind="stable")
-        return times[perm], channels[perm]
-
-    @property
-    def times(self) -> np.ndarray:
-        """Every timestamp in file order (a new array on each access)."""
-        return self._merged()[0]
-
-    @property
-    def channels(self) -> np.ndarray:
-        """The channel of each tag in file order (a new array on each access)."""
-        return self._merged()[1]
-
     @property
     def channel_labels(self):
         return MappingProxyType(self._labels)
@@ -237,9 +216,13 @@ def write_tags(stream: TagStream, destination) -> int:
     ``destination`` may be a path or a binary file object.  Returns the number
     of bytes written.  Timestamps must be non-negative.
     """
-    times, channels = stream._merged()
-    if times.size and int(times[0]) < 0:
+    by_channel = stream._by_channel
+    order = sorted(by_channel)
+    times = np.concatenate([_EMPTY, *(by_channel[c] for c in order)])
+    if times.size and int(times.min()) < 0:
         raise TagStreamError("timestamps do not fit the unsigned 64-bit file format")
+    sizes = [by_channel[c].size for c in order]
+    channels = np.repeat(np.array(order, dtype=np.uint8), sizes)
     header = HEADER_STRUCT.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -248,9 +231,12 @@ def write_tags(stream: TagStream, destination) -> int:
         len(stream.channel_labels),
         len(stream),
     )
+    # records in merged order: the stable sort keeps simultaneous tags in the
+    # channel order they were joined in
+    perm = np.argsort(times, kind="stable")
     records = np.zeros(len(stream), dtype=RECORD_DTYPE)
-    records["time"] = times.astype(np.uint64)
-    records["channel"] = channels
+    records["time"] = times[perm]
+    records["channel"] = channels[perm]
     payload = records.tobytes()
 
     if hasattr(destination, "write"):
@@ -295,8 +281,8 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         )
     times = np.empty(record_count, dtype=np.int64)
     channels = np.empty(record_count, dtype=np.uint8)
-    for at in range(0, record_count, _READ_CHUNK_RECORDS):
-        n = min(_READ_CHUNK_RECORDS, record_count - at)
+    for at in range(0, record_count, _CHUNK_RECORDS):
+        n = min(_CHUNK_RECORDS, record_count - at)
         records = np.frombuffer(
             _read_exact(fh, n * RECORD_DTYPE.itemsize, "records"), dtype=RECORD_DTYPE
         )

@@ -12,7 +12,6 @@ from biphoton.fitting import (
     DOUBLE_EXPONENTIAL,
     SYMMETRIC_EXPONENTIAL,
     FitResult,
-    evaluate_model,
     finite_difference_check,
     fit_double_exponential,
     fit_symmetric_exponential,
@@ -64,7 +63,10 @@ def test_double_exponential_fwhm_matches_half_maximum_crossings():
     right = tau0 + math.log(2) / (TWO_PI * fit.param("dnu_fall_hz"))
     left = tau0 - math.log(2) / (TWO_PI * fit.param("dnu_rise_hz"))
     assert width == pytest.approx(right - left, rel=1e-12)
-    values = evaluate_model(DOUBLE_EXPONENTIAL, fit.values, np.array([left, right]))
+    values = [
+        floor + amp * math.exp(-TWO_PI * fit.param("dnu_fall_hz") * (right - tau0)),
+        floor + amp * math.exp(TWO_PI * fit.param("dnu_rise_hz") * (left - tau0)),
+    ]
     assert values == pytest.approx([floor + amp / 2, floor + amp / 2], rel=1e-12)
 
 
@@ -101,17 +103,6 @@ def test_analytic_jacobian_matches_finite_differences(model, params):
     grid = np.linspace(-4e-7, 4e-7, 401)
     grid = grid[np.abs(grid - tau0) > 7.5e-9]
     assert finite_difference_check(model, params, grid) < 1e-5
-
-
-def test_evaluate_model_shapes_and_unknown_model():
-    tau = np.linspace(-1e-7, 1e-7, 11)
-    out = evaluate_model(SYMMETRIC_EXPONENTIAL, [100.0, 0.5, 5e-8, 0.0], tau)
-    assert out.shape == tau.shape
-    assert out[5] == pytest.approx(150.0, rel=1e-12)
-    with pytest.raises(AnalysisError, match="unknown model"):
-        evaluate_model("biexponential", [1.0], tau)
-    with pytest.raises(AnalysisError, match="unknown model"):
-        finite_difference_check("biexponential", [1.0], tau)
 
 
 # --- equivariances --------------------------------------------------------------
@@ -257,3 +248,5 @@ def test_result_accessors_track_parameter_order():
         unknown.fwhm_s()
     with pytest.raises(AnalysisError):
         unknown.g2_zero()
+    with pytest.raises(AnalysisError, match="unknown model"):
+        finite_difference_check("biexponential", [1.0], np.linspace(-1e-7, 1e-7, 11))

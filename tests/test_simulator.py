@@ -1,6 +1,7 @@
 """Statistical and structural behavior of the stochastic pair source."""
 
 import hashlib
+import io
 import sys
 from dataclasses import replace
 
@@ -19,20 +20,20 @@ from biphoton.simulator import (
     CHANNEL_SIGNAL_B,
     GateSpec,
     SourceParams,
-    cluster_spectrum,
-    effective_mode_number,
     simulate_source,
 )
+from biphoton.tagstream import HEADER_STRUCT, RECORD_DTYPE, write_tags
+
+_CHANNELS = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
 
 
 def test_simulation_is_deterministic_per_seed():
     params = SourceParams(detector_i=DetectorSpec(1.0, 200.0))
     a = simulate_source(params, 1.0, seed=3)
     b = simulate_source(params, 1.0, seed=3)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.channels, b.channels)
+    assert all(np.array_equal(a.channel_times(ch), b.channel_times(ch)) for ch in _CHANNELS)
     c = simulate_source(params, 1.0, seed=4)
-    assert not np.array_equal(a.times, c.times)
+    assert not all(np.array_equal(a.channel_times(ch), c.channel_times(ch)) for ch in _CHANNELS)
 
 
 _FROZEN_STREAMS = [
@@ -46,15 +47,19 @@ _FROZEN_STREAMS = [
 
 
 def _frozen_stream(preset, seed, duration, dead_ns, workers):
-    """(tag count, sha256 of the merged times and channels) of one preset run."""
+    """(tag count, sha256 of the merged times and channels) of one preset run,
+    with the merged order taken from the run's tag-file records."""
     cfg = replace(
         preset_config(preset),
         detector_a_dead_ns=dead_ns, detector_b_dead_ns=dead_ns, detector_i_dead_ns=dead_ns,
     )
     stream = simulate_source(cfg.make_source(), duration, seed, workers=workers)
-    sha = hashlib.sha256(stream.times.astype("<i8").tobytes())
-    sha.update(stream.channels.astype("u1").tobytes())
-    return stream.times.size, sha.hexdigest()
+    buf = io.BytesIO()
+    write_tags(stream, buf)
+    records = np.frombuffer(buf.getvalue()[HEADER_STRUCT.size :], dtype=RECORD_DTYPE)
+    sha = hashlib.sha256(records["time"].astype("<i8").tobytes())
+    sha.update(records["channel"].astype("u1").tobytes())
+    return records.size, sha.hexdigest()
 
 
 @pytest.mark.parametrize("preset,seed,duration,dead_ns,n_tags,digest", _FROZEN_STREAMS)
@@ -100,7 +105,7 @@ _SHORT_SOURCES = st.builds(
 
 
 def _per_channel(stream):
-    return [stream.channel_times(c) for c in (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)]
+    return [stream.channel_times(c) for c in _CHANNELS]
 
 
 def _same_on_any_worker_count(params, duration_s, seed):
@@ -178,8 +183,6 @@ def test_parameter_validation():
         SourceParams(splitter_ratio=1.2)
     with pytest.raises(ModelError, match="mode weights"):
         SourceParams(mode_weights=())
-    with pytest.raises(ModelError, match="spectral range"):
-        SourceParams(mode_weights=(1.0, 0.5), fsr_hz=0.0)
     with pytest.raises(ModelError, match="reference window"):
         SourceParams(reference_window_s=0.0)
     with pytest.raises(ModelError, match="coherence slot"):
@@ -190,19 +193,10 @@ def test_parameter_validation():
 
 def test_derived_quantities():
     params = SourceParams(mode_weights=(1.0, 0.8, 0.8, 0.45, 0.45))
-    offsets = params.mode_offsets_hz()
-    fsr = params.fsr_hz
-    assert list(offsets) == [0.0, fsr, -fsr, 2 * fsr, -2 * fsr]
     assert params.central_pair_rate_hz == pytest.approx(0.00271 * 1.0 / 4e-7, rel=1e-12)
     # default slot follows the pair bandwidth
     assert params.slot_s == pytest.approx(1.1221265082859837e-07, rel=1e-9)
     assert SourceParams(coherence_slot_s=5e-8).slot_s == 5e-8
-
-
-def test_effective_mode_number():
-    assert effective_mode_number((0.7,) * 4) == pytest.approx(4.0, rel=1e-12)
-    zigzag = (1.0, 0.8, 0.8, 0.45, 0.45, 0.2, 0.2, 0.1, 0.1)
-    assert effective_mode_number(zigzag) == pytest.approx(4.1**2 / 2.785, rel=1e-12)
 
 
 def test_channel_labels_follow_roles():
@@ -364,7 +358,7 @@ def test_short_gate_periods_keep_the_duty_share():
     axis, so this costs about what the ungated run costs."""
     gate = GateSpec(period_ps=1_000_000, duty=0.5)
     gated = simulate_source(SourceParams(gate=gate), 2.0, seed=16)
-    assert np.all(gate.open_mask(gated.times))
+    assert all(np.all(gate.open_mask(gated.channel_times(ch))) for ch in _CHANNELS)
     n_ungated = simulate_source(SourceParams(), 2.0, seed=16).count(2)
     expect = gate.duty * n_ungated
     assert n_ungated > 10_000
@@ -428,38 +422,3 @@ def test_clustered_dead_time_matches_the_sequential_rule(records, dead_ps):
     for channel, dead in enumerate(dead_ps):
         got = simulator._apply_dead_time(times[channels == channel], dead)
         assert np.array_equal(got, want_times[want_channels == channel])
-
-
-# --- mode cluster spectrum -----------------------------------------------------------
-
-
-def test_cluster_spectrum_peaks_at_mode_offsets():
-    # a scan filter much narrower than the mode spacing keeps Lorentzian
-    # tail leakage between modes negligible
-    params = SourceParams(mode_weights=(1.0, 0.8, 0.8), idler_filter_extinction=0.005)
-    scan = cluster_spectrum(params, 1e9, 1e6, 2e6)
-    freq = scan.frequency_offsets_hz
-    center = int(np.argmin(np.abs(freq)))
-    side = int(np.argmin(np.abs(freq - 423e6)))
-    assert scan.intensity[center] == pytest.approx(1.0, abs=0.001)
-    assert scan.intensity[side] == pytest.approx(0.8, abs=0.001)
-    # heralding suppresses the side modes down to the filter extinction
-    ratio = scan.heralded_intensity[side] / scan.heralded_intensity[center]
-    assert ratio == pytest.approx(0.8 * 0.005, rel=0.01)
-
-
-def test_cluster_spectrum_covers_all_modes():
-    params = SourceParams(mode_weights=(1.0, 0.5, 0.5, 0.25, 0.25))
-    scan = cluster_spectrum(params, 1e8, 1e6, 20e6)  # narrower than the comb
-    assert scan.frequency_offsets_hz.max() >= 2 * params.fsr_hz
-    with pytest.raises(ModelError):
-        cluster_spectrum(params, 0.0, 1e6, 20e6)
-    with pytest.raises(ModelError):
-        cluster_spectrum(params, 1e9, 1e6, -1.0)
-
-
-def test_single_mode_source_needs_no_fsr_scan_peaks():
-    scan = cluster_spectrum(SourceParams(), 1e9, 1e6, 20e6)
-    freq = scan.frequency_offsets_hz
-    off_center = np.abs(freq) > 100e6
-    assert scan.intensity[off_center].max() < 0.01
