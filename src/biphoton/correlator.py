@@ -4,21 +4,23 @@ Everything operates on sorted :class:`~biphoton.tagstream.TagStream` data.
 Histograms are multi-stop: every (start, stop) pair whose delay falls in the
 requested range is counted, which is unbiased at high rates where classical
 start-stop counting saturates.  One kernel counts every pair (binary searches
-for each start's stop range, then one bincount).  Every stop search runs in
-fixed-size start chunks on ``workers`` threads, whose results sum or join in
-order, so threaded results are bit-identical to serial ones.  Windows centred
-at zero delay, and their accidental floor, are counted in exact picoseconds by
-one stop search per analysis; peak-centred g2 reads the histogram it is given.
+for each start's stop range, then one bincount over the bins between sorted
+edges).  Every stop search runs as start-chunk tasks on the package's one task
+runner, in which the calling thread takes tasks too, so any worker count gives
+bit-identical results.  Windows centred at zero delay, and their accidental
+floor, are counted in exact picoseconds by one stop search per analysis;
+peak-centred g2 reads the histogram it is given.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._tasks import in_order
 from .tagstream import TagStream
 
 _CHUNK_STARTS = 1 << 18
@@ -89,35 +91,31 @@ class CorrelationHistogram:
         return self.counts / acc
 
 
-def _chunked(work, starts: np.ndarray, workers: int):
-    """Yield ``work(chunk)`` for each chunk of ``starts``, in order, on ``workers`` threads."""
-    parts = (starts[i : i + _CHUNK_STARTS] for i in range(0, starts.size, _CHUNK_STARTS))
-    if workers > 1 and starts.size > _CHUNK_STARTS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(work, parts)
-    else:
-        yield from map(work, parts)
+def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np.ndarray:
+    """Multi-stop counts of stop - start delays between consecutive sorted
+    ``edges``, binned by division for a ``range`` and by search for an array;
+    start chunks run as tasks, each added to the total as it finishes."""
+    total = np.zeros(len(edges) - 1, dtype=np.int64)
+    lock = threading.Lock()
 
-
-def _histogram(
-    starts: np.ndarray, stops: np.ndarray, tau_min: int, width: int, n_bins: int, workers: int
-) -> np.ndarray:
-    """Multi-stop counts of stop - start delays in ``n_bins`` bins of ``width``
-    from ``tau_min``, over sorted times; start chunks on ``workers`` threads sum exactly."""
-
-    def work(part: np.ndarray) -> np.ndarray:
-        # index range [lo, hi) of the stops in [start + tau_min, start + tau_max)
-        tau_max = tau_min + n_bins * width
-        lo, hi = (np.searchsorted(stops, part + edge) for edge in (tau_min, tau_max))
+    def work(at: int) -> None:
+        part = starts[at : at + _CHUNK_STARTS]
+        # index range [lo, hi) of the stops in [start + edges[0], start + edges[-1])
+        lo, hi = (np.searchsorted(stops, part + edge) for edge in (edges[0], edges[-1]))
         mult = hi - lo
-        total = int(mult.sum())
-        run_start = np.cumsum(mult) - mult
-        idx = np.arange(total, dtype=np.int64) - np.repeat(run_start, mult) + np.repeat(lo, mult)
+        # the chunk's pair k is stop lo + k - (pairs before its run) = k + hi - cumsum
+        idx = np.arange(mult.sum(), dtype=np.int64) + np.repeat(hi - np.cumsum(mult), mult)
         delays = stops[idx] - np.repeat(part, mult)
-        bins = (delays - tau_min) // width
-        return np.bincount(bins, minlength=n_bins).astype(np.int64, copy=False)
+        if isinstance(edges, range):
+            bins = (delays - edges.start) // edges.step
+        else:
+            bins = np.searchsorted(edges, delays, side="right") - 1
+        counts = np.bincount(bins, minlength=total.size)
+        with lock:
+            np.add(total, counts, out=total)
 
-    return sum(_chunked(work, starts, workers), np.zeros(n_bins, dtype=np.int64))
+    in_order(work, range(0, starts.size, _CHUNK_STARTS), workers)
+    return total
 
 
 def _window_offsets(window: int) -> tuple[int, int]:
@@ -132,15 +130,12 @@ def _range_counts(
     heralds: np.ndarray, signals: np.ndarray, bounds: list[tuple[int, int]], workers: int
 ) -> list[int]:
     """Herald-signal pairs with delay in each ``[lo, hi)`` of ``bounds``, read
-    by prefix sums from one kernel histogram over all of them.  Its bin width is
-    the gcd of the edges measured from the lowest edge, so every range is a
-    whole number of bins (a single range is one bin)."""
-    origin = min(lo for lo, _ in bounds)
-    width = math.gcd(*(edge - origin for bound in bounds for edge in bound))
-    n_bins = (max(hi for _, hi in bounds) - origin) // width
-    counts = _histogram(heralds, signals, origin, width, n_bins, workers)
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    return [int(cum[(hi - origin) // width] - cum[(lo - origin) // width]) for lo, hi in bounds]
+    by prefix sums from one kernel histogram whose bins lie between the
+    distinct edges, so its size grows with the number of edges, not the span."""
+    edges = np.unique(bounds)
+    cum = np.concatenate(([0], np.cumsum(_histogram(heralds, signals, edges, workers))))
+    lo, hi = np.searchsorted(edges, bounds).T
+    return (cum[hi] - cum[lo]).tolist()
 
 
 def cross_correlation_histogram(
@@ -165,8 +160,7 @@ def cross_correlation_histogram(
         raise AnalysisError(f"no tags on start channel {start_channel}")
     if stops.size == 0:
         raise AnalysisError(f"no tags on stop channel {stop_channel}")
-    n_bins = (tau_max - tau_min) // bin_width
-    counts = _histogram(starts, stops, tau_min, bin_width, n_bins, workers)
+    counts = _histogram(starts, stops, range(tau_min, tau_max + 1, bin_width), workers)
     if start_channel == stop_channel and tau_min <= 0 < tau_max:
         # remove each tag paired with itself
         counts[(-tau_min) // bin_width] -= starts.size
@@ -330,7 +324,8 @@ def heralded_autocorrelation(
     w_lo, w_hi = _window_offsets(window)
     arms = [stream.channel_times(channel) for channel in (channel_a, channel_b)]
 
-    def fired(part: np.ndarray) -> np.ndarray:
+    def fired(at: int) -> np.ndarray:
+        part = heralds[at : at + _CHUNK_STARTS]
         # an arm fired for a herald when its first stop at or after herald + w_lo
         # comes before herald + w_hi
         rows = np.zeros((2, part.size), dtype=bool)
@@ -340,7 +335,7 @@ def heralded_autocorrelation(
                 row[:] = (first < stops.size) & (stops.take(first, mode="clip") < part + w_hi)
         return rows
 
-    a, b = np.concatenate(list(_chunked(fired, heralds, workers)), axis=1)
+    a, b = np.concatenate(in_order(fired, range(0, heralds.size, _CHUNK_STARTS), workers), axis=1)
     # H(n) counts the heralds k with a_k and b_(k+n); b gains n_max misses at either end
     b = np.concatenate([np.zeros(n_max, bool), b, np.zeros(n_max, bool)])
     orders = np.arange(-n_max, n_max + 1, dtype=np.int64)

@@ -45,13 +45,13 @@ count gives the same stream.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from ._tasks import in_order
 from .models import DetectorSpec, ModelError, biphoton_from_linewidths
 from .tagstream import DEFAULT_ROLES, TagStream
 
@@ -304,25 +304,6 @@ def _apply_dead_time(times: np.ndarray, dead_ps: int) -> np.ndarray:
     return np.delete(times, dropped) if dropped else times
 
 
-def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on this thread and up to ``workers - 1``
-    more, each taking the next item in turn; one pool thread fewer is one
-    allocator arena fewer keeping freed temporaries."""
-    results = [None] * len(items)
-    todo = iter(range(len(items)))  # shared; each next() is atomic under the GIL
-
-    def run() -> None:
-        for i in todo:
-            results[i] = fn(items[i])
-
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        helpers = [pool.submit(run) for _ in range(min(workers, len(items)) - 1)]
-        run()
-        for helper in helpers:
-            helper.result()
-    return results
-
-
 def simulate_source(
     params: SourceParams, duration_s: float, seed: int, workers: int = 1
 ) -> TagStream:
@@ -349,7 +330,7 @@ def simulate_source(
     else:
         tasks = _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_SIGNAL, True, False)
         tasks += _generate_photons(params, duration_ps, seed, _SALT_UNPAIRED_IDLER, False, True)
-    parts = _in_order(lambda task: task(), tasks, workers)
+    parts = in_order(lambda task: task(), tasks, workers)
     channels = (CHANNEL_SIGNAL_A, CHANNEL_SIGNAL_B, CHANNEL_IDLER)
     detectors = dict(zip(channels, (params.detector_a, params.detector_b, params.detector_i)))
 
@@ -374,5 +355,5 @@ def simulate_source(
         times = np.delete(times, repeats) if repeats.size else times
         return _apply_dead_time(times, int(round(detector.dead_time_s * _PS_PER_S)))
 
-    by_channel = dict(zip(channels, _in_order(detect, channels, workers)))
+    by_channel = dict(zip(channels, in_order(detect, channels, workers)))
     return TagStream.from_channels(by_channel, {c: DEFAULT_ROLES[c] for c in by_channel})

@@ -1,6 +1,7 @@
 """Correlation analysis against brute-force oracles and exact synthetic
 streams."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -414,6 +415,32 @@ def test_window_sweep_counts_match_pair_enumeration_for_any_worker_count(soup, w
             ]
             assert [p.g2 for p in points] == pytest.approx(g2s, rel=1e-12)
             assert [p.g2_uncertainty for p in points] == pytest.approx(g2_errs, rel=1e-12)
+
+
+def test_odd_window_sweep_memory_grows_with_the_edges_not_the_span():
+    """A 401 ps window and a floor out to 10 us: the edges share a 1 ps
+    grid, yet the counts are exact without a bin per picosecond."""
+    rng = np.random.default_rng(17)
+    heralds = np.unique(rng.integers(0, 40_000_000, size=300))
+    signals = np.unique(np.concatenate([heralds + rng.integers(-300, 300, heralds.size),
+                                        rng.integers(0, 40_000_000, size=300)]))
+    stream = _stream(heralds.tolist(), signals.tolist(), [])
+    delays = signals[None, :] - heralds[:, None]
+    tracemalloc.start()
+    try:
+        points = window_sweep(stream, 2, 0, [401], 0.5, floor_region_ps=(1_000_000, 10_000_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    coinc = int(((-200 <= delays) & (delays < 201)).sum())
+    # the floor covers the delays [-10 us, -1 us) and [1 us, 10 us)
+    n_floor = sum(int(((lo <= delays) & (delays < hi)).sum())
+                  for lo, hi in ((-10_000_000, -1_000_000), (1_000_000, 10_000_000)))
+    assert 0 < coinc < n_floor
+    assert points[0].coincidence_count == coinc
+    assert points[0].g2 == pytest.approx((coinc / 401) / (n_floor / 18_000_000), rel=1e-12)
+    # a 1 ps grid over the floor would be 2e7 bins, 160 MB
+    assert peak < 4_000_000
 
 
 @_PROPERTY

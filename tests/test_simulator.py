@@ -4,15 +4,22 @@ import hashlib
 import io
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import simulator
+from biphoton import correlator, simulator
+from biphoton._tasks import in_order
 from biphoton.config import preset_config
-from biphoton.correlator import cross_correlation_histogram, normalized_g2
+from biphoton.correlator import (
+    cross_correlation_histogram,
+    heralded_autocorrelation,
+    normalized_g2,
+    window_sweep,
+)
 from biphoton.models import DetectorSpec, ModelError
 from biphoton.simulator import (
     CHANNEL_IDLER,
@@ -137,9 +144,18 @@ def test_two_block_run_does_not_depend_on_the_worker_count():
     assert (a < block_end_ps).any() and (a >= block_end_ps).any()
 
 
+def _chunked_analyses(stream, workers):
+    """Every chunked stop search of the correlator on one stream."""
+    hist = cross_correlation_histogram(stream, 2, 0, 1_000, (-1_500_000, 1_500_000), workers)
+    sweep = window_sweep(stream, 2, 0, (1_001, 40_000, 400_001), 1.0, workers=workers)
+    fasel = heralded_autocorrelation(stream, 2, 0, 1, 400_000, workers=workers)
+    return hist.counts.tolist(), sweep, fasel.histogram.counts.tolist()
+
+
 def test_tasks_run_once_each_under_fast_thread_switching():
     """More threads than cores and a thread switch every microsecond: every
-    item is taken exactly once and its result lands in its own place."""
+    item is taken exactly once and its result lands in its own place, and the
+    simulator and the correlator give the same results on any worker count."""
     taken = []
 
     def square(i):
@@ -154,14 +170,21 @@ def test_tasks_run_once_each_under_fast_thread_switching():
         for workers in (1, 3, 8):
             taken.clear()
             items = [i for i in range(400) if i != 7]
-            assert simulator._in_order(square, items, workers) == [i * i for i in items]
+            assert in_order(square, items, workers) == [i * i for i in items]
             assert sorted(taken) == items
             with pytest.raises(ValueError, match="task 7"):
-                simulator._in_order(square, list(range(50)), workers)
-        params = SourceParams(pump_mw=20.0, mode_weights=(1.0, 0.6, 0.6, 0.3, 0.3))
-        want = _per_channel(simulate_source(params, 0.3, 4))
+                in_order(square, list(range(50)), workers)
+        params = SourceParams(
+            pump_mw=20.0, mode_weights=(1.0, 0.6, 0.6, 0.3, 0.3), splitter_ratio=0.5
+        )
+        stream = simulate_source(params, 0.3, 4)
+        want = _per_channel(stream)
         got = _per_channel(simulate_source(params, 0.3, 4, workers=8))
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        # chunks of 4 starts, so the correlator runs thousands of tasks
+        assert stream.channel_times(2).size > 1_000
+        with mock.patch.object(correlator, "_CHUNK_STARTS", 4):
+            assert _chunked_analyses(stream, 8) == _chunked_analyses(stream, 1)
     finally:
         sys.setswitchinterval(switch)
 
