@@ -340,11 +340,11 @@ def preset_config(name: str) -> ExperimentConfig:
     return ExperimentConfig(**overrides)  # type: ignore[arg-type]
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse config text into an :class:`ExperimentConfig`.
 
     A ``preset`` assignment in the ``[run]`` section selects the baseline the
-    remaining keys override; otherwise ``base`` (default "reference") is used.
+    remaining keys override; otherwise the baseline is "reference".
     All errors carry the offending line number.
     """
     lines = text.splitlines()
@@ -384,7 +384,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     else:
-        config = base if base is not None else ExperimentConfig()
+        config = ExperimentConfig()
 
     updates: dict[str, object] = {}
     for lineno, section, key, value in assignments:

@@ -24,6 +24,7 @@ from ._tasks import in_order
 from .tagstream import TagStream
 
 _CHUNK_STARTS = 1 << 18
+_CHUNK_PAIRS = 1 << 20  # pairs per kernel run, give or take one start's
 
 
 class AnalysisError(ValueError):
@@ -93,8 +94,11 @@ class CorrelationHistogram:
 
 def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np.ndarray:
     """Multi-stop counts of stop - start delays between consecutive sorted
-    ``edges``, binned by division for a ``range`` and by search for an array;
-    start chunks run as tasks, each added to the total as it finishes."""
+    ``edges``, binned by division for a ``range`` and by search for an array.
+    Start chunks run as tasks; each expands its pairs in runs of starts cut
+    where its running pair count passes a multiple of ``_CHUNK_PAIRS``, so the
+    pair arrays stay near that cap however wide the delay range, and adds each
+    run's counts to the total at once."""
     total = np.zeros(len(edges) - 1, dtype=np.int64)
     lock = threading.Lock()
 
@@ -103,16 +107,21 @@ def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np
         # index range [lo, hi) of the stops in [start + edges[0], start + edges[-1])
         lo, hi = (np.searchsorted(stops, part + edge) for edge in (edges[0], edges[-1]))
         mult = hi - lo
-        # the chunk's pair k is stop lo + k - (pairs before its run) = k + hi - cumsum
-        idx = np.arange(mult.sum(), dtype=np.int64) + np.repeat(hi - np.cumsum(mult), mult)
-        delays = stops[idx] - np.repeat(part, mult)
-        if isinstance(edges, range):
-            bins = (delays - edges.start) // edges.step
-        else:
-            bins = np.searchsorted(edges, delays, side="right") - 1
-        counts = np.bincount(bins, minlength=total.size)
-        with lock:
-            np.add(total, counts, out=total)
+        cum = np.cumsum(mult)
+        cuts = np.searchsorted(cum, np.arange(_CHUNK_PAIRS, cum[-1], _CHUNK_PAIRS), "right")
+        runs = np.unique([0, *cuts, part.size]).tolist()
+        for a, b in zip(runs, runs[1:]):
+            # the chunk's pair k is stop lo + k - (pairs before its start) = k + hi - cum
+            first = cum[a] - mult[a]
+            delays = stops[np.arange(first, cum[b - 1]) + np.repeat(hi[a:b] - cum[a:b], mult[a:b])]
+            delays -= np.repeat(part[a:b], mult[a:b])
+            if isinstance(edges, range):
+                bins = (delays - edges.start) // edges.step
+            else:
+                bins = np.searchsorted(edges, delays, side="right") - 1
+            counts = np.bincount(bins, minlength=total.size)
+            with lock:
+                np.add(total, counts, out=total)
 
     in_order(work, range(0, starts.size, _CHUNK_STARTS), workers)
     return total

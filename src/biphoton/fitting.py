@@ -36,6 +36,7 @@ _PARAM_NAMES = {
 _TAU0_INDEX = 3
 _POSITIVE = (0, 1, 2)
 _MAX_ITER = 200
+_FD_REL_STEP = 1e-6  # finite_difference_check's step, relative to each parameter
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ _MODELS = {
 }
 
 
-def finite_difference_check(model: str, params, tau_s, rel_step: float = 1e-6) -> float:
+def finite_difference_check(model: str, params, tau_s) -> float:
     """Largest deviation between the analytic Jacobian and central
     differences, relative to the Jacobian scale.  The caller should keep the
     kink position out of ``tau_s``; the model is not differentiable there.
@@ -157,7 +158,7 @@ def finite_difference_check(model: str, params, tau_s, rel_step: float = 1e-6) -
     _, jac = fn(params, tau)
     fd = np.empty_like(jac)
     for k in range(params.size):
-        step = rel_step * max(abs(params[k]), 1e-30)
+        step = _FD_REL_STEP * max(abs(params[k]), 1e-30)
         hi = params.copy()
         lo = params.copy()
         hi[k] += step

@@ -53,7 +53,7 @@ import numpy as np
 
 from ._tasks import in_order
 from .models import DetectorSpec, ModelError, biphoton_from_linewidths
-from .tagstream import DEFAULT_ROLES, TagStream
+from .tagstream import TagStream
 
 CHANNEL_SIGNAL_A = 0
 CHANNEL_SIGNAL_B = 1
@@ -356,4 +356,4 @@ def simulate_source(
         return _apply_dead_time(times, int(round(detector.dead_time_s * _PS_PER_S)))
 
     by_channel = dict(zip(channels, in_order(detect, channels, workers)))
-    return TagStream.from_channels(by_channel, {c: DEFAULT_ROLES[c] for c in by_channel})
+    return TagStream.from_channels(by_channel)

@@ -1,11 +1,12 @@
 """Time-tag streams and the binary tag-file format.
 
 A tag stream holds each detector channel's events as one sorted, read-only
-array of integer picosecond timestamps, and is immutable.  The merged (time,
-channel) order exists only where the file format needs it: ``write_tags``
-builds it on demand.  Its ordering rule
-(non-decreasing times, simultaneous records in ascending channel order, so no
-duplicate ``(time, channel)`` record) is checked in one place, the
+array of integer picosecond timestamps, and is immutable; those arrays are its
+whole state.  Its channels are the ones it was built with, and their labels
+follow the channel numbers.  The merged (time, channel) order exists only
+where the file format needs it: ``write_tags`` builds it on demand.  Its
+ordering rule (non-decreasing times, simultaneous records in ascending channel
+order, so no duplicate ``(time, channel)`` record) is checked by every
 constructor, and the file reader reports its first violation as a
 :class:`MonotonicityError`.
 
@@ -23,16 +24,15 @@ Binary file layout (little-endian):
             u16 reserved
             u32 reserved
 
-Records are stored in merged order.  The header carries
-no channel-label table, so labels are restored by the conventional mapping
-(0 signal-A, 1 signal-B, 2 idler, 3 trigger, higher channels "ch<n>").
+Records are stored in merged order.  The header carries no channel-label
+table: labels always follow the conventional mapping (0 signal-A, 1 signal-B,
+2 idler, 3 trigger, higher channels "ch<n>").
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from types import MappingProxyType
 from typing import BinaryIO
 
 import numpy as np
@@ -117,6 +117,10 @@ class TagStream:
     """Immutable detector events, held as one sorted, read-only time array
     per channel; built from merged records, or by :meth:`from_channels`.
 
+    A stream's channels are the ones it was built with: those present in the
+    merged records, or every key given to :meth:`from_channels`.  Their labels
+    follow the channel numbers (``DEFAULT_ROLES``, else ``"ch<n>"``).
+
     Parameters
     ----------
     times : array-like of int
@@ -124,28 +128,16 @@ class TagStream:
     channels : array-like of int
         Channel number per tag (0..255); simultaneous tags must be in
         ascending channel order.
-    channel_labels : mapping, optional
-        channel -> role string.  Defaults to the conventional mapping for the
-        channels present.
-    validate : bool
-        Check the ordering rule (default).  Only test data built to hold
-        known violations turns it off.
     """
 
-    __slots__ = ("_by_channel", "_labels", "_len", "_span_ps")
+    __slots__ = ("_by_channel", "_len", "_span_ps")
 
-    def __init__(
-        self,
-        times,
-        channels,
-        channel_labels: dict[int, str] | None = None,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, times, channels) -> None:
         times = np.ascontiguousarray(times, dtype=np.int64)
         channels = np.ascontiguousarray(channels, dtype=np.uint8)
         if times.ndim != 1 or channels.shape != times.shape:
             raise TagStreamError("times and channels must be 1-D arrays of equal length")
-        if validate and times.size:
+        if times.size:
             if times[0] < 0:
                 raise TagStreamError("negative timestamps are not allowed")
             i = _first_disorder(times, channels)
@@ -155,14 +147,13 @@ class TagStream:
                 raise TagStreamError(f"duplicate (time, channel) record at index {i}", i)
             if i:
                 raise TagStreamError(f"simultaneous tags not in channel order at index {i}", i)
-        self._fill(_split(times, channels), channel_labels)
+        self._fill(_split(times, channels))
 
     @classmethod
-    def from_channels(
-        cls, by_channel: dict[int, np.ndarray], channel_labels: dict[int, str] | None = None
-    ) -> TagStream:
-        """Stream from each channel's times, which must be non-negative and
-        strictly increasing; labels default as for the constructor."""
+    def from_channels(cls, by_channel: dict[int, np.ndarray]) -> TagStream:
+        """Stream whose channels are the keys of ``by_channel``, tagless ones
+        included; each channel's times must be non-negative and strictly
+        increasing."""
         arrays = {}
         for channel, times in by_channel.items():
             times = np.array(times, dtype=np.int64)  # a copy: the stream freezes it
@@ -174,27 +165,24 @@ class TagStream:
                 raise TagStreamError(f"channel {channel}: negative timestamps are not allowed")
             arrays[int(channel)] = times
         stream = cls.__new__(cls)
-        stream._fill(arrays, channel_labels)
+        stream._fill(arrays)
         return stream
 
-    def _fill(self, by_channel: dict[int, np.ndarray], channel_labels) -> None:
+    def _fill(self, by_channel: dict[int, np.ndarray]) -> None:
         for times in by_channel.values():
             times.setflags(write=False)
         self._by_channel = by_channel
         held = [t for t in by_channel.values() if t.size]
         self._len = sum(t.size for t in held)
         self._span_ps = int(max(t[-1] for t in held) - min(t[0] for t in held)) if held else 0
-        if channel_labels is None:
-            present = sorted(c for c, t in by_channel.items() if t.size)
-            channel_labels = {c: DEFAULT_ROLES.get(c, f"ch{c}") for c in present}
-        self._labels = dict(channel_labels)
 
     def __len__(self) -> int:
         return self._len
 
     @property
-    def channel_labels(self):
-        return MappingProxyType(self._labels)
+    def channel_labels(self) -> dict[int, str]:
+        """Role of each of the stream's channels, in channel order."""
+        return {c: DEFAULT_ROLES.get(c, f"ch{c}") for c in sorted(self._by_channel)}
 
     @property
     def span_ps(self) -> int:
@@ -214,13 +202,11 @@ def write_tags(stream: TagStream, destination) -> int:
     """Serialize a stream to the binary tag format.
 
     ``destination`` may be a path or a binary file object.  Returns the number
-    of bytes written.  Timestamps must be non-negative.
+    of bytes written.
     """
     by_channel = stream._by_channel
     order = sorted(by_channel)
     times = np.concatenate([_EMPTY, *(by_channel[c] for c in order)])
-    if times.size and int(times.min()) < 0:
-        raise TagStreamError("timestamps do not fit the unsigned 64-bit file format")
     sizes = [by_channel[c].size for c in order]
     channels = np.repeat(np.array(order, dtype=np.uint8), sizes)
     header = HEADER_STRUCT.pack(
@@ -228,7 +214,7 @@ def write_tags(stream: TagStream, destination) -> int:
         FORMAT_VERSION,
         0,
         1,  # resolution_ps: stream times are picoseconds
-        len(stream.channel_labels),
+        len(order),
         len(stream),
     )
     # records in merged order: the stable sort keeps simultaneous tags in the
@@ -237,13 +223,11 @@ def write_tags(stream: TagStream, destination) -> int:
     records = np.zeros(len(stream), dtype=RECORD_DTYPE)
     records["time"] = times[perm]
     records["channel"] = channels[perm]
-    payload = records.tobytes()
 
     if hasattr(destination, "write"):
-        n = destination.write(header) + destination.write(payload)
-        return n
+        return destination.write(header) + destination.write(records)
     with open(destination, "wb") as fh:
-        return fh.write(header) + fh.write(payload)
+        return fh.write(header) + fh.write(records)
 
 
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:

@@ -551,15 +551,22 @@ def test_criterion_9_throughput():
     duration_ps = 50 * 10**12
     times = np.sort(rng.integers(0, duration_ps, size=n, dtype=np.int64))
     channels = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
+    # a stream holds no duplicate (time, channel) record: order ties by
+    # channel and drop the repeats
+    order = np.lexsort((channels, times))
+    times, channels = times[order], channels[order]
+    fresh = np.ones(n, dtype=bool)
+    fresh[1:] = (times[1:] != times[:-1]) | (channels[1:] != channels[:-1])
+    times, channels = times[fresh], channels[fresh]
     # a stream splits its channels when built, so each timed call builds a
     # stream of its own over the same arrays and pays for its own selection
     start = time.perf_counter()
-    serial = TagStream(times, channels, validate=False)
+    serial = TagStream(times, channels)
     h1 = cross_correlation_histogram(serial, 0, 1, 5_000, (-5_000_000, 5_000_000),
                                      workers=1)
     t1 = time.perf_counter() - start
     start, cpu_start = time.perf_counter(), time.process_time()
-    threaded = TagStream(times, channels, validate=False)
+    threaded = TagStream(times, channels)
     h4 = cross_correlation_histogram(threaded, 0, 1, 5_000, (-5_000_000, 5_000_000),
                                      workers=4)
     t4 = time.perf_counter() - start
@@ -575,7 +582,7 @@ def test_criterion_9_throughput():
     _gate(9, "throughput", [
         (f"1e7 tags histogrammed in {t1:.2f} s single-threaded (< 5 s)", t1 < 5.0),
         ("worker results bit-exact", bool(np.array_equal(h1.counts, h4.counts))),
-        ("pair count pinned", int(h1.counts.sum()) == 5_001_212),
+        ("pair count pinned", int(h1.counts.sum()) == 5_001_210),
         (f"speedup {speedup:.2f}x with 4 workers (>= {needed:.2f}; "
          f"CPU/wall {cpu_per_wall4:.2f})",
          speedup >= needed),

@@ -204,13 +204,6 @@ def test_value_errors_carry_line_numbers(text, lineno, keys):
     assert info.value.keys == keys
 
 
-def test_parse_with_explicit_base():
-    base = preset_config("surrogate")
-    cfg = parse_config("[run]\nseed = 9\n", base=base)
-    assert not cfg.pair_correlations
-    assert cfg.seed == 9
-
-
 def test_config_text_roundtrips_every_preset():
     for name in PRESET_NAMES:
         cfg = preset_config(name)

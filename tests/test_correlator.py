@@ -33,7 +33,7 @@ def _random_tag_soup(n, seed, horizon=200_000, n_channels=3):
     keep = np.ones(n, dtype=bool)
     same = (np.diff(times) == 0) & (np.diff(channels) == 0)
     keep[1:][same] = False
-    return TagStream(times[keep], channels[keep].astype(np.uint8), validate=True)
+    return TagStream(times[keep], channels[keep].astype(np.uint8))
 
 
 def _brute_force(stream, start_ch, stop_ch, bin_width, tau_range):
@@ -64,11 +64,7 @@ def test_histogram_matches_all_pairs_enumeration():
 
 
 def test_chunked_workers_are_bit_exact():
-    rng = np.random.default_rng(50)
-    n = 600_000
-    times = np.sort(rng.integers(0, 10**12, size=n, dtype=np.int64))
-    channels = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    stream = TagStream(times, channels, validate=False)
+    stream = _random_tag_soup(600_000, seed=50, horizon=10**12, n_channels=2)
     serial = cross_correlation_histogram(stream, 0, 1, 5_000, (-2_000_000, 2_000_000))
     threaded = cross_correlation_histogram(
         stream, 0, 1, 5_000, (-2_000_000, 2_000_000), workers=4
@@ -83,7 +79,7 @@ def test_uncorrelated_streams_are_flat_at_the_accidental_level():
     duration = 10**12
     times = np.sort(rng.integers(0, duration, size=60_000, dtype=np.int64))
     channels = rng.integers(0, 2, size=60_000, dtype=np.int64).astype(np.uint8)
-    stream = TagStream(times, channels, validate=False)
+    stream = TagStream(times, channels)
     hist = cross_correlation_histogram(stream, 0, 1, 20_000, (-2_000_000, 2_000_000))
     mean_norm = hist.normalized.mean()
     # Poisson scatter on ~200 bins of ~ stream-rate^2 * bin * T counts
@@ -234,7 +230,7 @@ def test_heralded_poisson_light_is_near_one():
         [np.full(heralds.size, 2, np.uint8), np.zeros(a.size, np.uint8), np.ones(b.size, np.uint8)]
     )
     order = np.lexsort((c, t))
-    stream = TagStream(t[order], c[order], validate=False)
+    stream = TagStream(t[order], c[order])
     result = heralded_autocorrelation(stream, 2, 0, 1, 200_000, n_max=15)
     assert abs(result.value - 1.0) < 3.5 * result.uncertainty
     assert result.uncertainty < 0.5
@@ -312,7 +308,7 @@ def test_window_sweep_monotone_and_consistent():
     t = np.concatenate([heralds, partners[keep]])
     c = np.concatenate([np.full(heralds.size, 2, np.uint8), np.zeros(int(keep.sum()), np.uint8)])
     order = np.lexsort((c, t))
-    stream = TagStream(t[order], c[order], validate=False)
+    stream = TagStream(t[order], c[order])
     windows = [20_000, 50_000, 100_000, 200_000]
     points = window_sweep(stream, 2, 0, windows, 0.5)
     counts = [p.coincidence_count for p in points]
@@ -357,7 +353,7 @@ def _soups(draw, min_heralds=1, horizon=3_000):
 def _stream(heralds, signals, partners):
     tags = sorted([(t, 2) for t in heralds] + [(t, 0) for t in signals] + [(t, 1) for t in partners])
     times, channels = zip(*tags)
-    return TagStream(np.array(times), np.array(channels, dtype=np.uint8), validate=True)
+    return TagStream(np.array(times), np.array(channels, dtype=np.uint8))
 
 
 def _in_window(delay, window):
@@ -441,6 +437,43 @@ def test_odd_window_sweep_memory_grows_with_the_edges_not_the_span():
     assert points[0].g2 == pytest.approx((coinc / 401) / (n_floor / 18_000_000), rel=1e-12)
     # a 1 ps grid over the floor would be 2e7 bins, 160 MB
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64])
+def test_pair_cap_cuts_leave_counts_exact(cap):
+    """Runs cut mid-start, a start spanning several multiples of the cap, and
+    starts with no pairs all count as the all-pairs enumeration does."""
+    stream = _random_tag_soup(600, seed=70, horizon=20_000)
+    with mock.patch.object(biphoton.correlator, "_CHUNK_PAIRS", cap):
+        for workers in (1, 2):
+            hist = cross_correlation_histogram(stream, 0, 2, 7, (-700, 700), workers=workers)
+            assert np.array_equal(hist.counts, _brute_force(stream, 0, 2, 7, (-700, 700)))
+
+
+def test_wide_floor_memory_stays_bounded_by_the_pair_cap():
+    """2 500 heralds against 2 M stops over 1 s with a floor out to 1 ms:
+    about 10 M pairs, which the kernel expands about 2^20 at a time."""
+    rng = np.random.default_rng(18)
+    heralds = np.unique(rng.integers(0, 10**12, size=2_500))
+    stops = np.unique(rng.integers(0, 10**12, size=2_000_000))
+    stream = TagStream.from_channels({0: stops, 2: heralds})
+    tracemalloc.start()
+    try:
+        points = window_sweep(stream, 2, 0, [400_000], 0.5, floor_region_ps=(10**6, 10**9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    def pairs(lo, hi):
+        return int((np.searchsorted(stops, heralds + hi) - np.searchsorted(stops, heralds + lo)).sum())
+
+    coinc = pairs(-200_000, 200_000)
+    n_floor = pairs(-10**9, -10**6) + pairs(10**6, 10**9)
+    assert n_floor > 8_000_000
+    assert points[0].coincidence_count == coinc
+    assert points[0].g2 == pytest.approx((coinc / 400_000) / (n_floor / 1_998_000_000), rel=1e-12)
+    # uncapped, the int64 pair arrays of this one start chunk reach 240 MB
+    assert peak < 60_000_000
 
 
 @_PROPERTY

@@ -185,6 +185,9 @@ def test_tasks_run_once_each_under_fast_thread_switching():
         assert stream.channel_times(2).size > 1_000
         with mock.patch.object(correlator, "_CHUNK_STARTS", 4):
             assert _chunked_analyses(stream, 8) == _chunked_analyses(stream, 1)
+        # runs of about 40 pairs, so each task adds to the shared total repeatedly
+        with mock.patch.multiple(correlator, _CHUNK_STARTS=64, _CHUNK_PAIRS=40):
+            assert _chunked_analyses(stream, 8) == _chunked_analyses(stream, 1)
     finally:
         sys.setswitchinterval(switch)
 

@@ -87,12 +87,6 @@ def test_roundtrip_empty_stream(tmp_path):
     assert len(back) == 0
 
 
-def test_write_rejects_negative_times():
-    bad = TagStream(np.array([-5, 3]), np.array([0, 1], dtype=np.uint8), validate=False)
-    with pytest.raises(TagStreamError):
-        write_tags(bad, io.BytesIO())
-
-
 # --- corrupt files ---------------------------------------------------------
 
 
@@ -273,9 +267,13 @@ def test_from_channels_matches_the_merged_constructor():
     merged = TagStream([5, 9, 9, 14, 20], [0, 2, 3, 0, 2])
     stream = TagStream.from_channels({3: [9], 0: [5, 14], 2: [9, 20], 1: []})
     assert _same_channels(stream, merged)
-    assert _file_bytes(stream) == _file_bytes(merged)
     assert (len(stream), stream.span_ps) == (len(merged), merged.span_ps)
-    assert dict(stream.channel_labels) == dict(merged.channel_labels)
+    # channel 1, given with no tags, belongs to the stream and to its header
+    assert stream.channel_labels == {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
+    written, joined = _file_bytes(stream), _file_bytes(merged)
+    assert written[HEADER_STRUCT.size :] == joined[HEADER_STRUCT.size :]
+    assert HEADER_STRUCT.unpack_from(written)[4] == 4
+    assert HEADER_STRUCT.unpack_from(joined)[4] == 3
     assert not stream.channel_times(0).flags.writeable
 
 
