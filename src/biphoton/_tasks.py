@@ -1,4 +1,5 @@
-"""The one task runner: the simulator's draws and the correlator's chunks."""
+"""The one task runner: the simulator's draws, the correlator's chunks and the
+tag reader's record slices."""
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence

@@ -483,7 +483,7 @@ def _run(command: _Command, cfg: ExperimentConfig, args: argparse.Namespace) -> 
     stream = None
     if command.stream:
         if getattr(args, "tags", None):
-            stream = read_tags(args.tags)
+            stream = read_tags(args.tags, cfg.workers)
             duration_s = stream.span_ps * 1e-12
         else:
             stream = simulate_source(cfg.make_source(), cfg.duration_s, cfg.seed, cfg.workers)

@@ -8,7 +8,9 @@ where the file format needs it: ``write_tags`` builds it on demand.  Its
 ordering rule (non-decreasing times, simultaneous records in ascending channel
 order, so no duplicate ``(time, channel)`` record) is checked by every
 constructor, and the file reader reports its first violation as a
-:class:`MonotonicityError`.
+:class:`MonotonicityError`.  The merged constructor and the reader share one
+check-and-split, which runs slices of records as tasks on ``workers``
+threads; any worker count gives the same arrays and the same first violation.
 
 Binary file layout (little-endian):
 
@@ -33,9 +35,12 @@ from __future__ import annotations
 
 import io
 import struct
-from typing import BinaryIO
+import threading
+from typing import BinaryIO, Callable
 
 import numpy as np
+
+from ._tasks import in_order
 
 MAGIC = b"BPTT"
 FORMAT_VERSION = 1
@@ -53,8 +58,8 @@ RECORD_DTYPE = np.dtype(
 #: conventional channel numbering used by the simulator and restored on read
 DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
-# records per file read and per split slice, so neither the raw file buffer
-# nor a split temporary is ever held whole
+# records per check-and-split task, which also reads its slice of a file, so
+# neither the raw file nor a temporary is ever held whole
 _CHUNK_RECORDS = 1 << 20
 # the times of every channel without tags
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -97,19 +102,56 @@ def _first_disorder(times: np.ndarray, channels: np.ndarray) -> int:
     return first if first < times.size else 0
 
 
-def _split(times: np.ndarray, channels: np.ndarray) -> dict[int, np.ndarray]:
-    """Each present channel's times, copied a slice of records at a time into
-    arrays sized by a first counting pass, so no temporary outgrows a slice."""
-    slices = [slice(at, at + _CHUNK_RECORDS) for at in range(0, times.size, _CHUNK_RECORDS)]
-    counts = [np.bincount(channels[part], minlength=256) for part in slices]
-    total = sum(counts, np.zeros(256, dtype=np.int64))
+def _check_split(
+    times: np.ndarray, channels: np.ndarray, workers: int = 1, load: Callable | None = None
+) -> dict[int, np.ndarray]:
+    """Each present channel's times, after checking the ordering rule.
+
+    Runs in two rounds of one task per slice of ``_CHUNK_RECORDS`` records on
+    ``workers`` threads, so no temporary outgrows a slice.  The first round
+    calls ``load(part)`` to fill the slice's records, if given, finds the
+    slice's first disorder and counts its channels; the first violation, in
+    a slice or across a slice boundary, raises :class:`TagStreamError`.  The
+    second round copies each slice's times into the places that the prefix
+    sums of the counts give it in arrays sized by those counts."""
+    step, size = _CHUNK_RECORDS, times.size
+    slices = [slice(at, min(at + step, size)) for at in range(0, size, step)]
+
+    def survey(part: slice) -> tuple[int, np.ndarray]:
+        if load is not None:
+            load(part)
+        i = _first_disorder(times[part], channels[part])
+        return (part.start + i if i else 0), np.bincount(channels[part], minlength=256)
+
+    surveyed = in_order(survey, slices, workers)
+    if times.size and times[0] < 0:
+        raise TagStreamError("negative timestamps are not allowed")
+    # a boundary breaks the rule where its two records, as a slice, do
+    found = [i for i, _ in surveyed if i] + [
+        at
+        for at in (part.start for part in slices[1:])
+        if _first_disorder(times[at - 1 : at + 1], channels[at - 1 : at + 1])
+    ]
+    if found:
+        i = min(found)
+        if times[i] < times[i - 1]:
+            raise TagStreamError(f"tags out of order at index {i}", i)
+        if channels[i] == channels[i - 1]:
+            raise TagStreamError(f"duplicate (time, channel) record at index {i}", i)
+        raise TagStreamError(f"simultaneous tags not in channel order at index {i}", i)
+
+    counts = np.array([n for _, n in surveyed], dtype=np.int64).reshape(len(slices), 256)
+    places = np.cumsum(counts, axis=0) - counts
+    total = counts.sum(axis=0)
     out = {int(c): np.empty(total[c], dtype=np.int64) for c in np.flatnonzero(total)}
-    filled = dict.fromkeys(out, 0)
-    for part, n in zip(slices, counts):
+
+    def place(k: int) -> None:
+        part, n, at = slices[k], counts[k], places[k]
         for channel, dest in out.items():
-            at = filled[channel]
-            np.compress(channels[part] == channel, times[part], out=dest[at : at + n[channel]])
-            filled[channel] = at + n[channel]
+            where = dest[at[channel] : at[channel] + n[channel]]
+            np.compress(channels[part] == channel, times[part], out=where)
+
+    in_order(place, range(len(slices)), workers)
     return out
 
 
@@ -137,17 +179,7 @@ class TagStream:
         channels = np.ascontiguousarray(channels, dtype=np.uint8)
         if times.ndim != 1 or channels.shape != times.shape:
             raise TagStreamError("times and channels must be 1-D arrays of equal length")
-        if times.size:
-            if times[0] < 0:
-                raise TagStreamError("negative timestamps are not allowed")
-            i = _first_disorder(times, channels)
-            if i and times[i] < times[i - 1]:
-                raise TagStreamError(f"tags out of order at index {i}", i)
-            if i and channels[i] == channels[i - 1]:
-                raise TagStreamError(f"duplicate (time, channel) record at index {i}", i)
-            if i:
-                raise TagStreamError(f"simultaneous tags not in channel order at index {i}", i)
-        self._fill(_split(times, channels))
+        self._fill(_check_split(times, channels))
 
     @classmethod
     def from_channels(cls, by_channel: dict[int, np.ndarray]) -> TagStream:
@@ -237,15 +269,17 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
-def read_tags(source) -> TagStream:
-    """Read a binary tag file and return a validated :class:`TagStream`."""
+def read_tags(source, workers: int = 1) -> TagStream:
+    """Read a binary tag file and return a validated :class:`TagStream`,
+    checking and splitting its records a slice at a time on ``workers``
+    threads."""
     if hasattr(source, "read"):
-        return _read_stream(source)
+        return _read_stream(source, workers)
     with open(source, "rb") as fh:
-        return _read_stream(fh)
+        return _read_stream(fh, workers)
 
 
-def _read_stream(fh: BinaryIO) -> TagStream:
+def _read_stream(fh: BinaryIO, workers: int) -> TagStream:
     raw = _read_exact(fh, HEADER_STRUCT.size, "header")
     magic, version, _, resolution_ps, channel_count, record_count = HEADER_STRUCT.unpack(raw)
     if magic != MAGIC:
@@ -257,7 +291,6 @@ def _read_stream(fh: BinaryIO) -> TagStream:
     size = record_count * RECORD_DTYPE.itemsize
     start = fh.tell()
     available = fh.seek(0, io.SEEK_END) - start
-    fh.seek(start)
     if available != size:
         raise FormatError(
             f"header announces {record_count} records ({size} bytes), "
@@ -265,20 +298,26 @@ def _read_stream(fh: BinaryIO) -> TagStream:
         )
     times = np.empty(record_count, dtype=np.int64)
     channels = np.empty(record_count, dtype=np.uint8)
-    for at in range(0, record_count, _CHUNK_RECORDS):
-        n = min(_CHUNK_RECORDS, record_count - at)
-        records = np.frombuffer(
-            _read_exact(fh, n * RECORD_DTYPE.itemsize, "records"), dtype=RECORD_DTYPE
-        )
-        # times above 2^63 - 1 wrap to negative int64 values, which always
-        # break the stream's check (a negative first time, or a step back), so
-        # the range is only examined once that check has failed
-        times[at : at + n] = records["time"]
-        channels[at : at + n] = records["channel"]
+    position = threading.Lock()  # the file's one read position
+
+    def load(part: slice) -> None:
+        with position:
+            fh.seek(start + part.start * RECORD_DTYPE.itemsize)
+            raw = _read_exact(fh, (part.stop - part.start) * RECORD_DTYPE.itemsize, "records")
+        records = np.frombuffer(raw, dtype=RECORD_DTYPE)
+        times[part] = records["time"]
+        channels[part] = records["channel"]
+
     try:
-        return TagStream(times, channels)
+        by_channel = _check_split(times, channels, workers, load)
     except TagStreamError as exc:
+        # times above 2^63 - 1 wrap to negative int64 values, which always
+        # break the ordering rule (a negative first time, or a step back), so
+        # the range is only examined once that check has failed
         if times.min() < 0:
             first = int(np.argmax(times < 0))
             raise FormatError(f"record {first} has a timestamp above 2^63 - 1") from None
         raise MonotonicityError(exc.index) from None
+    stream = TagStream.__new__(TagStream)
+    stream._fill(by_channel)
+    return stream

@@ -247,6 +247,36 @@ def test_tags_call_selects_each_channel_once(tmp_path, split_tags, monkeypatch, 
     assert sorted(channel for channel, _ in fills) == sorted({channel for _, channel, _ in calls})
 
 
+@pytest.mark.parametrize("command", ["xcorr", "heralded", "metrics", "sweep-window"])
+def test_every_tag_file_read_runs_on_the_configured_workers(
+    tmp_path, split_tags, monkeypatch, command
+):
+    """The file is read on ``[analysis] workers`` threads, in slices small
+    enough to make many tasks, and every artifact is the same at 1 and 3."""
+    cfg, tags = split_tags
+    monkeypatch.setattr(biphoton.tagstream, "_CHUNK_RECORDS", 1_000)
+    assert len(read_tags(tags)) > 5_000
+    read = biphoton.cli.read_tags
+    workers = []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(read).bind(*args, **kwargs)
+        call.apply_defaults()
+        workers.append(call.arguments["workers"])
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(biphoton.cli, "read_tags", spy)
+    # one config path and one out directory: summaries name both
+    swept, out = tmp_path / "w.cfg", tmp_path / "w"
+    artifacts = []
+    for n in (1, 3):
+        swept.write_text(open(cfg).read() + f"[analysis]\nworkers = {n}\n", encoding="ascii")
+        assert main([command, "--config", str(swept), "--tags", tags, "--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert workers == [1, 3]
+    assert artifacts[0] == artifacts[1]
+
+
 def test_heralded_needs_the_herald_channel(tmp_path):
     no_idler = TagStream([100, 200, 300], [0, 1, 0])
     path = tmp_path / "pairs_only.bin"

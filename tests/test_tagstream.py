@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,25 +151,85 @@ def test_flag_bytes_are_ignored_on_read_and_written_as_zero():
     assert records.tolist() == np.frombuffer(_records(rows), dtype=RECORD_DTYPE).tolist()
 
 
-def test_read_copies_records_in_chunks(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_read_copies_records_in_chunks(monkeypatch, workers):
     """Files of several read chunks and split slices: the columns come back
     whole, and an error found across a chunk boundary names the record by
     its file index."""
     monkeypatch.setattr(tagstream, "_CHUNK_RECORDS", 4)
     stream = _random_stream(10, seed=8)
-    back = read_tags(io.BytesIO(_file_bytes(stream)))
+    back = read_tags(io.BytesIO(_file_bytes(stream)), workers)
     assert _same_channels(back, stream)
 
     rows = [(10 * k, 0) for k in range(10)]
     # record 8 opens the third chunk and steps back before record 7
     rows[8] = (65, 1)
     with pytest.raises(MonotonicityError) as info:
-        read_tags(io.BytesIO(_header(records=10) + _records(rows)))
+        read_tags(io.BytesIO(_header(records=10) + _records(rows)), workers)
     assert info.value.index == 8
     rows[8] = (85, 1)
     rows[9] = (2**63 + 1, 0)
     with pytest.raises(FormatError, match="record 9 has a timestamp above"):
-        read_tags(io.BytesIO(_header(records=10) + _records(rows)))
+        read_tags(io.BytesIO(_header(records=10) + _records(rows)), workers)
+
+
+def _slice_boundary_faults():
+    """(name, rows, error class, index): 40 records in slices of 4, each
+    broken at or after a slice boundary."""
+    base = [(10 * k, k % 3) for k in range(40)]
+    cases = []
+    for name, changes, error, index in (
+        ("step-back", {24: (225, 0)}, MonotonicityError, 24),
+        ("duplicate", {27: (270, 1), 28: (270, 1)}, MonotonicityError, 28),
+        ("tie-out-of-order", {31: (310, 2), 32: (310, 1)}, MonotonicityError, 32),
+        # the range error wins over an earlier disorder
+        ("beyond-int64", {6: (5, 0), 37: (2**63 + 5, 0)}, FormatError, 37),
+    ):
+        rows = list(base)
+        for at, row in changes.items():
+            rows[at] = row
+        cases.append((name, rows, error, index))
+    return cases
+
+
+def test_sliced_read_is_the_same_on_any_worker_count(monkeypatch):
+    """Thousands of slice tasks and a thread switch every microsecond: every
+    worker count returns the same channels and names the same first fault,
+    whether it lies inside a slice or across a slice boundary."""
+    monkeypatch.setattr(tagstream, "_CHUNK_RECORDS", 4)
+    stream = _random_stream(6_000, seed=12)
+    data = _file_bytes(stream)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            assert _same_channels(read_tags(io.BytesIO(data), workers), stream)
+            for name, rows, error, index in _slice_boundary_faults():
+                raw = io.BytesIO(_header(records=len(rows)) + _records(rows))
+                with pytest.raises(error) as info:
+                    read_tags(raw, workers)
+                assert type(info.value) is error, name
+                assert f"record {index} " in str(info.value), name
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_read_holds_no_more_than_the_arrays_and_a_slice_per_worker(tmp_path, monkeypatch):
+    """The merged columns (9 bytes a record) and the channel arrays (8 bytes a
+    record) plus one record slice per worker: the raw file is never whole."""
+    monkeypatch.setattr(tagstream, "_CHUNK_RECORDS", 1 << 16)
+    n = 2_000_000
+    path = tmp_path / "tags.bin"
+    write_tags(_random_stream(n, seed=13), path)
+    tracemalloc.start()
+    try:
+        back = read_tags(path, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == n
+    slice_bytes = RECORD_DTYPE.itemsize << 16
+    assert peak <= 17 * n + 2 * slice_bytes + (1 << 20), peak
 
 
 @pytest.mark.parametrize("n, high", [(0, 1), (500, 256), (10_000, 6)], ids=["empty", "wide", "few"])
@@ -359,4 +420,4 @@ def test_importing_tagstream_loads_no_other_biphoton_module():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert json.loads(out) == ["biphoton", "biphoton.tagstream"]
+    assert json.loads(out) == ["biphoton", "biphoton._tasks", "biphoton.tagstream"]
