@@ -13,6 +13,7 @@ to the SI units used by the simulator.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields, replace
 
 from .models import DetectorSpec
@@ -48,16 +49,23 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_float(p) for p in parts)
 
 
 # field annotation -> converter for the config-file value
 _CONVERTERS = {
-    "float": float,
+    "float": _float,
     "int": int,
     "bool": _bool,
     "tuple[float, ...]": _floats,
@@ -148,6 +156,15 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
+        # every time must fit the simulator's 64-bit picosecond clock
+        for f in fields(self):
+            if f.name.endswith(("_ns", "duration_s")):
+                ps_per_unit = 1e3 if f.name.endswith("_ns") else 1e12
+                value = getattr(self, f.name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if not abs(v) * ps_per_unit < 2**62:
+                        msg = f"{f.name} must lie below 2^62 ps in magnitude, got {v}"
+                        raise ConfigError(msg, (f.name,))
         if self.duration_s <= 0:
             raise ConfigError(f"duration must be positive, got {self.duration_s}", ("duration_s",))
         if self.point_duration_s <= 0:
@@ -200,21 +217,23 @@ class ExperimentConfig:
         try:
             self.make_source()
         except ValueError as exc:  # ModelError, or GateSpec's ValueError
-            key = self._faulty_source_key()
+            key = self._faulty_source_key(str(exc))
             where = repr(key) if key else "[source] keys"
             raise ConfigError(f"bad value for {where}: {exc}", (key,) if key else ()) from None
 
-    def _faulty_source_key(self) -> str | None:
-        """Name the last [source] key whose default value alone makes the
-        simulator inputs valid again. Searching from the end blames a gate
-        value before the ``gate_period_ns`` that switches the gate on."""
+    def _faulty_source_key(self, error: str) -> str | None:
+        """Name the last [source] key whose default value alone changes the
+        simulator's ``error``: the inputs become valid, or another check
+        fails first. Searching from the end blames a gate value before the
+        ``gate_period_ns`` that switches the gate on."""
         for key in reversed(_SECTIONS["source"]):
             trial = copy.copy(self)
             object.__setattr__(trial, key, getattr(ExperimentConfig, key))
             try:
                 trial.make_source()
-            except ValueError:
-                continue
+            except ValueError as exc:
+                if str(exc) == error:
+                    continue
             return key
         return None
 

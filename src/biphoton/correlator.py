@@ -287,12 +287,6 @@ class FaselHistogram:
     herald_count: int
     window_ps: int
 
-    def __post_init__(self) -> None:
-        if len(self.orders) != len(self.counts):
-            raise AnalysisError("orders and counts must have equal length")
-        if len(self.counts) and min(self.counts) < 0:
-            raise AnalysisError("negative counts")
-
 
 @dataclass(frozen=True)
 class HeraldedG2:

@@ -258,14 +258,6 @@ class CavitySolution:
     sigma_escape_efficiency: float = 0.0
 
 
-def finesse_from_rho(rho: float) -> float:
-    """Finesse of a cavity with round-trip amplitude-squared product ``rho``:
-    F = pi rho^(1/4) / (1 - sqrt(rho))."""
-    if not 0 < rho < 1:
-        raise ModelError("rho must lie in (0, 1)")
-    return math.pi * rho**0.25 / (1.0 - math.sqrt(rho))
-
-
 def escape_from_losses(r_oc: float, internal_loss: float) -> float:
     """Escape efficiency of a cavity photon through the output coupler:
     (1 - R_oc) / (1 - R_oc + L_int)."""
@@ -274,19 +266,6 @@ def escape_from_losses(r_oc: float, internal_loss: float) -> float:
     if internal_loss < 0:
         raise ModelError("internal loss must be non-negative")
     return (1.0 - r_oc) / (1.0 - r_oc + internal_loss)
-
-
-def _solve_rho(finesse: float) -> float:
-    lo, hi = 1e-12, 1.0 - 1e-13
-    if not finesse_from_rho(lo) < finesse < finesse_from_rho(hi):
-        raise ModelError(f"finesse {finesse} outside solvable range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if finesse_from_rho(mid) < finesse:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def cavity_solve(
@@ -305,13 +284,15 @@ def cavity_solve(
     output coupler ``r_oc``; rho = r_hr^n_hr * r_oc * (1 - L_int).  Input
     uncertainties are propagated by central differences.
     """
-    if finesse <= 0:
-        raise ModelError("finesse must be positive")
     if not 0 < r_hr <= 1 or not 0 < r_oc < 1:
         raise ModelError("mirror reflectivities must lie in (0, 1)")
 
     def solve(f: float, roc: float) -> tuple[float, float, float]:
-        rho = _solve_rho(f)
+        if not 0 < f < math.inf:
+            raise ModelError(f"finesse must be positive and finite, got {f}")
+        # F = pi x / (1 - x^2) with x = rho^(1/4), so x is the positive root of
+        # F x^2 + pi x - F = 0, here in a form free of cancellation and overflow
+        rho = (2.0 * f / (math.pi + math.hypot(math.pi, 2.0 * f))) ** 4
         mirror = r_hr**n_hr * roc
         if rho >= mirror:
             raise ModelError(
@@ -324,14 +305,10 @@ def cavity_solve(
     rho, l_int, eta = solve(finesse, r_oc)
     var_l = 0.0
     var_e = 0.0
-    if sigma_finesse > 0:
-        _, l_hi, e_hi = solve(finesse + sigma_finesse, r_oc)
-        _, l_lo, e_lo = solve(finesse - sigma_finesse, r_oc)
-        var_l += (0.5 * (l_hi - l_lo)) ** 2
-        var_e += (0.5 * (e_hi - e_lo)) ** 2
-    if sigma_r_oc > 0:
-        _, l_hi, e_hi = solve(finesse, r_oc + sigma_r_oc)
-        _, l_lo, e_lo = solve(finesse, r_oc - sigma_r_oc)
-        var_l += (0.5 * (l_hi - l_lo)) ** 2
-        var_e += (0.5 * (e_hi - e_lo)) ** 2
+    for d_f, d_roc in ((sigma_finesse, 0.0), (0.0, sigma_r_oc)):
+        if d_f > 0 or d_roc > 0:
+            _, l_hi, e_hi = solve(finesse + d_f, r_oc + d_roc)
+            _, l_lo, e_lo = solve(finesse - d_f, r_oc - d_roc)
+            var_l += (0.5 * (l_hi - l_lo)) ** 2
+            var_e += (0.5 * (e_hi - e_lo)) ** 2
     return CavitySolution(finesse, rho, l_int, eta, math.sqrt(var_l), math.sqrt(var_e))

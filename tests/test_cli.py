@@ -308,6 +308,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     ("[source]\ndetector_a_efficiency = 1.5\n", "detector_a_efficiency"),
     ("[source]\ngate_period_ns = 100\ngate_duty = 2\n", "gate_duty"),
     ("[source]\nfsr_mhz = 0\n", "fsr_mhz"),
+    ("[source]\nescape_s = 2\ntransmission_s = 2\n", "escape_s"),
 ])
 def test_out_of_range_source_value_exits_2(tmp_path, capsys, body, key):
     cfg = _write(tmp_path, "bad.cfg", body)
@@ -318,6 +319,24 @@ def test_out_of_range_source_value_exits_2(tmp_path, capsys, body, key):
     assert repr(key) in err
     line = body[: body.index(f"{key} =")].count("\n") + 1
     assert f"config error: line {line}: bad value for {key!r}" in err
+
+
+@pytest.mark.parametrize("command,body,key", [
+    ("metrics", "[analysis]\nwindow_ns = inf\n", "window_ns"),
+    ("metrics", "[run]\nduration_s = inf\n", "duration_s"),
+    ("metrics", "[sweep]\nwindows_ns = 100, inf\n", "windows_ns"),
+    ("metrics", "[source]\ngate_period_ns = 1e300\n", "gate_period_ns"),
+    ("metrics", "[run]\nduration_s = nan\n", "duration_s"),
+    ("sweep-window", "[analysis]\nfloor_max_ns = 1e300\n", "floor_max_ns"),
+    ("metrics", "[source]\npump_mw = nan\n", "pump_mw"),
+])
+def test_non_finite_or_clock_overflowing_value_exits_2(tmp_path, capsys, command, body, key):
+    cfg = _write(tmp_path, "bad.cfg", body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 2: ")
+    assert err.count("\n") == 1
+    assert key in err
 
 
 def test_missing_tags_file_exits_3(tmp_path, capsys):

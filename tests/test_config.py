@@ -197,6 +197,8 @@ def test_parse_errors_carry_line_numbers():
     ("[sweep]\nwindows_ns = 50, 2400\n", 2, ("windows_ns", "floor_min_ns")),
     ("[analysis]\nfloor_min_ns = 300\n[sweep]\nwindows_ns = 100, 700\n", 4,
      ("windows_ns", "floor_min_ns")),
+    ("[sweep]\npoint_duration_s = 1e7\n", 2, ("point_duration_s",)),
+    ("[source]\ndetector_b_dead_ns = 5e15\n", 2, ("detector_b_dead_ns",)),
 ])
 def test_value_errors_carry_line_numbers(text, lineno, keys):
     with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:

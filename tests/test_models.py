@@ -15,7 +15,6 @@ from biphoton.models import (
     conditioned_from_unconditioned,
     escape_from_heralding,
     escape_from_losses,
-    finesse_from_rho,
     g2_power_model,
     lorentzian_autocorrelation,
     multimode_bunching,
@@ -211,20 +210,24 @@ def test_cavity_solve_frozen():
     assert sol.sigma_escape_efficiency == pytest.approx(0.1300510536182193, rel=EXACT)
 
 
-def test_finesse_from_rho_frozen():
-    assert finesse_from_rho(0.94564) == pytest.approx(112.41020373829869, rel=EXACT)
+def test_cavity_solve_propagates_the_finesse_error():
+    sol = cavity_solve(114.0, 0.9999, 0.970, sigma_finesse=2.0)
+    assert sol.sigma_internal_loss == pytest.approx(0.0009438613212413571, rel=EXACT)
+    assert sol.sigma_escape_efficiency == pytest.approx(0.009685963060330038, rel=EXACT)
+    # finesse - sigma_finesse <= 0 and a NaN finesse have no solution
     with pytest.raises(ModelError):
-        finesse_from_rho(1.0)
+        cavity_solve(50.0, 0.9999, 0.970, sigma_finesse=60.0)
     with pytest.raises(ModelError):
-        finesse_from_rho(0.0)
+        cavity_solve(math.nan, 0.9999, 0.970)
 
 
 def test_cavity_solve_roundtrip():
     """Forward-evaluating the finesse formula on the solved rho reproduces
     the input finesse."""
-    for finesse in (40.0, 114.0, 200.0):
+    for finesse in (0.001, 40.0, 114.0, 200.0):
         sol = cavity_solve(finesse, 0.9999, 0.970)
-        assert finesse_from_rho(sol.rho) == pytest.approx(finesse, rel=EXACT)
+        forward = math.pi * sol.rho**0.25 / (1.0 - math.sqrt(sol.rho))
+        assert forward == pytest.approx(finesse, rel=EXACT)
 
 
 def test_escape_from_losses():
@@ -240,6 +243,10 @@ def test_cavity_solve_rejects_inconsistent_inputs():
     # a finesse too high for the given mirrors implies negative internal loss
     with pytest.raises(ModelError):
         cavity_solve(250.0, 0.9999, 0.970)
+    with pytest.raises(ModelError):  # 4 F^2 overflows a double, yet rho is near 1
+        cavity_solve(1e200, 0.9999, 0.970)
+    with pytest.raises(ModelError):
+        cavity_solve(math.inf, 0.9999, 0.970)
     with pytest.raises(ModelError):
         cavity_solve(-5.0, 0.9999, 0.970)
     with pytest.raises(ModelError):
