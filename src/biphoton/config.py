@@ -12,11 +12,10 @@ to the SI units used by the simulator.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields, replace
 
-from .models import DetectorSpec
+from .models import DetectorSpec, ModelError, cavity_solve, escape_from_heralding
 from .simulator import GateSpec, SourceParams
 
 __all__ = [
@@ -81,6 +80,17 @@ _SECTION_STARTS = {
     "finesse": "cavity",
     "duration_s": "run",
 }
+
+
+def _bad_value(keys: tuple[str, ...], why: object) -> ConfigError:
+    return ConfigError(f"bad value for {', '.join(map(repr, keys))}: {why}", keys)
+
+
+# tags a run may expect on one detector: far above the 1e8 of the longest
+# acquisitions, far below what overflows a draw
+_MAX_EXPECTED_TAGS = 1e12
+# the keys besides the pump that scale the pair rate
+_PAIR_KEYS = ("creation_prob_per_mw", "reference_window_ns", "mode_weights")
 
 
 @dataclass(frozen=True)
@@ -211,67 +221,60 @@ class ExperimentConfig:
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1", ("n_max",))
         if self.fsr_mhz <= 0:
-            raise ConfigError(
-                "bad value for 'fsr_mhz': free spectral range must be positive", ("fsr_mhz",)
-            )
+            raise _bad_value(("fsr_mhz",), "free spectral range must be positive")
         try:
-            self.make_source()
-        except ValueError as exc:  # ModelError, or GateSpec's ValueError
-            key = self._faulty_source_key(str(exc))
-            where = repr(key) if key else "[source] keys"
-            raise ConfigError(f"bad value for {where}: {exc}", (key,) if key else ()) from None
-
-    def _faulty_source_key(self, error: str) -> str | None:
-        """Name the last [source] key whose default value alone changes the
-        simulator's ``error``: the inputs become valid, or another check
-        fails first. Searching from the end blames a gate value before the
-        ``gate_period_ns`` that switches the gate on."""
-        for key in reversed(_SECTIONS["source"]):
-            trial = copy.copy(self)
-            object.__setattr__(trial, key, getattr(ExperimentConfig, key))
-            try:
-                trial.make_source()
-            except ValueError as exc:
-                if str(exc) == error:
-                    continue
-            return key
-        return None
+            source = self.make_source()
+            cavity_solve(
+                self.finesse, self.r_hr, self.r_oc, self.finesse_err, self.r_oc_err, self.n_hr
+            )
+            escape_from_heralding(
+                self.heralding_efficiency, self.heralding_transmission, self.uncorrelated_fraction
+            )
+        except ModelError as exc:
+            raise _bad_value(tuple(_KEYS.get(field, field) for field in exc.fields), exc) from None
+        # the photons, and the darks, that each detector expects in the
+        # longest run at each pump the config asks for
+        w = source.mode_weights
+        pairs_per_mw_s = source.creation_prob_per_mw / source.reference_window_s * sum(w) / w[0]
+        signal = source.escape_s * source.transmission_s
+        idler = source.escape_i * source.transmission_i
+        for pump_key, pump, duration in (
+            ("pump_mw", self.pump_mw, self.duration_s),
+            ("powers_mw", max(self.powers_mw), self.point_duration_s),
+        ):
+            for name, arm in zip(_DETECTORS, (signal, signal, idler)):
+                detector = getattr(source, name)
+                photons = pairs_per_mw_s * pump * duration * arm * detector.efficiency
+                darks = detector.dark_rate_hz * duration
+                dark_key = name + "_dark_hz"
+                for count, keys in ((photons, (pump_key, *_PAIR_KEYS)), (darks, (dark_key,))):
+                    if not count <= _MAX_EXPECTED_TAGS:
+                        msg = f"{count:.3g} tags expected on {name} in {duration:g} s"
+                        raise _bad_value(keys, f"{msg}, above {_MAX_EXPECTED_TAGS:.0e}")
 
     def make_source(self, **overrides: object) -> SourceParams:
         """Build simulator parameters, optionally overriding any SourceParams
         keyword (values in SI units)."""
-        gate = None
+        kwargs: dict[str, object] = {}
+        for key in _SECTIONS["source"]:
+            if key in _MODEL_NAMES:
+                name, factor = _MODEL_NAMES[key]
+                kwargs[name] = getattr(self, key) * factor
+            elif key in _SOURCE_FIELDS:
+                kwargs[key] = getattr(self, key)
         if self.gate_period_ns > 0:
-            gate = GateSpec(
+            kwargs["gate"] = GateSpec(
                 period_ps=int(round(self.gate_period_ns * 1000)),
                 duty=self.gate_duty,
                 phase_ps=int(round(self.gate_phase_ns * 1000)),
             )
-        kwargs: dict[str, object] = dict(
-            pump_mw=self.pump_mw,
-            creation_prob_per_mw=self.creation_prob_per_mw,
-            reference_window_s=self.reference_window_ns * 1e-9,
-            signal_linewidth_hz=self.signal_linewidth_mhz * 1e6,
-            idler_linewidth_hz=self.idler_linewidth_mhz * 1e6,
-            mode_weights=self.mode_weights,
-            escape_s=self.escape_s,
-            escape_i=self.escape_i,
-            transmission_s=self.transmission_s,
-            transmission_i=self.transmission_i,
-            idler_filter_transmission=self.idler_filter_transmission,
-            idler_filter_extinction=self.idler_filter_extinction,
-            splitter_ratio=self.splitter_ratio,
-            coherence_slot_s=self.coherence_slot_ns * 1e-9,
-            gate=gate,
-            gate_darks=self.gate_darks,
-            pair_correlations=self.pair_correlations,
-        )
-        for name in ("detector_a", "detector_b", "detector_i"):
-            kwargs[name] = DetectorSpec(
-                getattr(self, name + "_efficiency"),
-                getattr(self, name + "_dark_hz"),
-                getattr(self, name + "_dead_ns") * 1e-9,
-            )
+        for name in _DETECTORS:
+            spec = {field: getattr(self, name + suffix) for field, suffix in _SUFFIXES.items()}
+            spec["dead_time_s"] *= 1e-9
+            try:
+                kwargs[name] = DetectorSpec(**spec)
+            except ModelError as exc:
+                raise ModelError(str(exc), *(name + _SUFFIXES[f] for f in exc.fields)) from None
         kwargs.update(overrides)
         return SourceParams(**kwargs)
 
@@ -313,6 +316,27 @@ def _sections() -> dict[str, dict[str, object]]:
 
 
 _SECTIONS = _sections()
+_SOURCE_FIELDS = {f.name for f in fields(SourceParams)}
+_DETECTORS = ("detector_a", "detector_b", "detector_i")
+# DetectorSpec parameter -> the key suffix after each detector's name
+_SUFFIXES = {"efficiency": "_efficiency", "dark_rate_hz": "_dark_hz", "dead_time_s": "_dead_ns"}
+
+# config key -> (model parameter, factor to SI) for each key that sets a
+# parameter of another name; make_source converts [source] through it
+_MODEL_NAMES = {
+    "reference_window_ns": ("reference_window_s", 1e-9),
+    "signal_linewidth_mhz": ("signal_linewidth_hz", 1e6),
+    "idler_linewidth_mhz": ("idler_linewidth_hz", 1e6),
+    "coherence_slot_ns": ("coherence_slot_s", 1e-9),
+    "finesse_err": ("sigma_finesse", 1.0),
+    "r_oc_err": ("sigma_r_oc", 1.0),
+    "heralding_efficiency": ("eta_h", 1.0),
+    "heralding_transmission": ("eta_t", 1.0),
+}
+# model parameter -> config key for blame: the table reversed plus the gate's;
+# every other parameter a ModelError names is its own key
+_KEYS = {name: key for key, (name, _) in _MODEL_NAMES.items()}
+_KEYS.update(period_ps="gate_period_ns", duty="gate_duty", phase_ps="gate_phase_ns")
 
 
 # Measurement arrangements used throughout: the cross-correlation setup sends

@@ -55,16 +55,7 @@ class CorrelationHistogram:
     duration_ps: int
 
     def __post_init__(self) -> None:
-        if self.bin_width_ps <= 0:
-            raise AnalysisError("bin width must be positive")
-        span = self.tau_max_ps - self.tau_min_ps
-        if span <= 0 or span % self.bin_width_ps:
-            raise AnalysisError("delay range must be a positive multiple of the bin width")
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.shape != (span // self.bin_width_ps,):
-            raise AnalysisError("counts length does not match the binning")
-        if counts.size and counts.min() < 0:
-            raise AnalysisError("negative counts")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 

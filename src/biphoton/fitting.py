@@ -69,9 +69,7 @@ class FitResult:
         """Full width at half maximum of the fitted peak above its floor."""
         if self.model == DOUBLE_EXPONENTIAL:
             return LN2 / TWO_PI * (1.0 / self.param("dnu_fall_hz") + 1.0 / self.param("dnu_rise_hz"))
-        if self.model == SYMMETRIC_EXPONENTIAL:
-            return 2.0 * LN2 * self.param("tau_decay_s")
-        raise AnalysisError(f"unknown model {self.model!r}")
+        return 2.0 * LN2 * self.param("tau_decay_s")
 
     def g2_zero(self) -> float:
         """Peak-to-floor ratio at zero delay (normalized g2 scale); NaN when
@@ -83,9 +81,7 @@ class FitResult:
             if floor <= 0:
                 raise AnalysisError("fitted floor is not positive")
             return 1.0 + self.param("amplitude") / floor
-        if self.model == SYMMETRIC_EXPONENTIAL:
-            return 1.0 + self.param("contrast")
-        raise AnalysisError(f"unknown model {self.model!r}")
+        return 1.0 + self.param("contrast")
 
     def g2_zero_err(self) -> float:
         """First-order standard error of :meth:`g2_zero`.  For the double

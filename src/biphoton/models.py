@@ -13,7 +13,12 @@ LN2 = math.log(2.0)
 
 
 class ModelError(ValueError):
-    """Inconsistent or out-of-domain model inputs."""
+    """Inconsistent or out-of-domain model inputs; ``fields`` names the
+    parameters at fault."""
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -26,11 +31,11 @@ class DetectorSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ModelError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+            raise ModelError(f"efficiency must lie in [0, 1], got {self.efficiency}", "efficiency")
         if self.dark_rate_hz < 0:
-            raise ModelError("dark rate must be non-negative")
+            raise ModelError("dark rate must be non-negative", "dark_rate_hz")
         if self.dead_time_s < 0:
-            raise ModelError("dead time must be non-negative")
+            raise ModelError("dead time must be non-negative", "dead_time_s")
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +123,12 @@ def escape_from_heralding(
     """Escape efficiency inferred from a measured heralding efficiency and the
     partner arm transmission, optionally discounting the fraction of heralds
     that carry no partner: eta_esc = eta_H / (eta_T * (1 - f))."""
+    if not 0 <= eta_h <= 1:
+        raise ModelError(f"heralding efficiency must lie in [0, 1], got {eta_h}", "eta_h")
     if not 0 < eta_t <= 1:
-        raise ModelError("arm transmission must lie in (0, 1]")
+        raise ModelError("arm transmission must lie in (0, 1]", "eta_t")
     if not 0 <= uncorrelated_fraction < 1:
-        raise ModelError("uncorrelated fraction must lie in [0, 1)")
+        raise ModelError("uncorrelated fraction must lie in [0, 1)", "uncorrelated_fraction")
     return eta_h / (eta_t * (1.0 - uncorrelated_fraction))
 
 
@@ -262,9 +269,9 @@ def escape_from_losses(r_oc: float, internal_loss: float) -> float:
     """Escape efficiency of a cavity photon through the output coupler:
     (1 - R_oc) / (1 - R_oc + L_int)."""
     if not 0 < r_oc < 1:
-        raise ModelError("output coupler reflectivity must lie in (0, 1)")
+        raise ModelError("output coupler reflectivity must lie in (0, 1)", "r_oc")
     if internal_loss < 0:
-        raise ModelError("internal loss must be non-negative")
+        raise ModelError("internal loss must be non-negative", "internal_loss")
     return (1.0 - r_oc) / (1.0 - r_oc + internal_loss)
 
 
@@ -282,14 +289,19 @@ def cavity_solve(
 
     The cavity has ``n_hr`` high reflectors of reflectivity ``r_hr`` plus one
     output coupler ``r_oc``; rho = r_hr^n_hr * r_oc * (1 - L_int).  Input
-    uncertainties are propagated by central differences.
+    uncertainties are propagated by central differences, and an error raised
+    at a shifted input also names that input's sigma.
     """
-    if not 0 < r_hr <= 1 or not 0 < r_oc < 1:
-        raise ModelError("mirror reflectivities must lie in (0, 1)")
+    if not 0 < r_hr <= 1:
+        raise ModelError(f"high reflector reflectivity must lie in (0, 1], got {r_hr}", "r_hr")
+    if not 0 < r_oc < 1:
+        raise ModelError(f"output coupler reflectivity must lie in (0, 1), got {r_oc}", "r_oc")
+    if n_hr < 1:
+        raise ModelError(f"the cavity needs at least one high reflector, got {n_hr}", "n_hr")
 
     def solve(f: float, roc: float) -> tuple[float, float, float]:
         if not 0 < f < math.inf:
-            raise ModelError(f"finesse must be positive and finite, got {f}")
+            raise ModelError(f"finesse must be positive and finite, got {f}", "finesse")
         # F = pi x / (1 - x^2) with x = rho^(1/4), so x is the positive root of
         # F x^2 + pi x - F = 0, here in a form free of cancellation and overflow
         rho = (2.0 * f / (math.pi + math.hypot(math.pi, 2.0 * f))) ** 4
@@ -297,7 +309,8 @@ def cavity_solve(
         if rho >= mirror:
             raise ModelError(
                 f"finesse {f} implies rho={rho:.6f} >= mirror product {mirror:.6f}; "
-                "internal loss would be negative"
+                "internal loss would be negative",
+                "finesse", "r_hr", "r_oc", "n_hr",
             )
         l_int = 1.0 - rho / mirror
         return rho, l_int, escape_from_losses(roc, l_int)
@@ -305,10 +318,15 @@ def cavity_solve(
     rho, l_int, eta = solve(finesse, r_oc)
     var_l = 0.0
     var_e = 0.0
-    for d_f, d_roc in ((sigma_finesse, 0.0), (0.0, sigma_r_oc)):
+    for name, d_f, d_roc in (("sigma_finesse", sigma_finesse, 0), ("sigma_r_oc", 0, sigma_r_oc)):
+        if min(d_f, d_roc) < 0:
+            raise ModelError(f"{name} must be non-negative, got {d_f + d_roc}", name)
         if d_f > 0 or d_roc > 0:
-            _, l_hi, e_hi = solve(finesse + d_f, r_oc + d_roc)
-            _, l_lo, e_lo = solve(finesse - d_f, r_oc - d_roc)
+            try:
+                _, l_hi, e_hi = solve(finesse + d_f, r_oc + d_roc)
+                _, l_lo, e_lo = solve(finesse - d_f, r_oc - d_roc)
+            except ModelError as exc:
+                raise ModelError(str(exc), *exc.fields, name) from None
             var_l += (0.5 * (l_hi - l_lo)) ** 2
             var_e += (0.5 * (e_hi - e_lo)) ** 2
     return CavitySolution(finesse, rho, l_int, eta, math.sqrt(var_l), math.sqrt(var_e))

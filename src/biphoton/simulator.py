@@ -82,9 +82,9 @@ class GateSpec:
 
     def __post_init__(self) -> None:
         if self.period_ps <= 0:
-            raise ValueError("gate period must be positive")
+            raise ModelError("gate period must be positive", "period_ps")
         if not 0.0 < self.duty <= 1.0:
-            raise ValueError(f"gate duty must lie in (0, 1], got {self.duty}")
+            raise ModelError(f"gate duty must lie in (0, 1], got {self.duty}", "duty")
 
     @property
     def open_ps(self) -> int:
@@ -141,16 +141,19 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode_weights", tuple(float(w) for w in self.mode_weights))
-        if self.pump_mw < 0 or self.creation_prob_per_mw < 0:
-            raise ModelError("pump power and creation probability must be non-negative")
+        for name in ("pump_mw", "creation_prob_per_mw"):
+            if getattr(self, name) < 0:
+                raise ModelError("pump power and creation probability must be non-negative", name)
         if self.reference_window_s <= 0:
-            raise ModelError("reference window must be positive")
-        if self.signal_linewidth_hz <= 0 or self.idler_linewidth_hz <= 0:
-            raise ModelError("linewidths must be positive")
+            raise ModelError("reference window must be positive", "reference_window_s")
+        for name in ("signal_linewidth_hz", "idler_linewidth_hz"):
+            if getattr(self, name) <= 0:
+                raise ModelError("linewidths must be positive", name)
         if not self.mode_weights or min(self.mode_weights) < 0 or max(self.mode_weights) == 0:
-            raise ModelError("mode weights must be non-negative with at least one positive")
+            msg = "mode weights must be non-negative with at least one positive"
+            raise ModelError(msg, "mode_weights")
         if self.mode_weights[0] <= 0:
-            raise ModelError("the central mode weight must be positive")
+            raise ModelError("the central mode weight must be positive", "mode_weights")
         for name in (
             "escape_s",
             "escape_i",
@@ -162,9 +165,9 @@ class SourceParams:
         ):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
-                raise ModelError(f"{name} must lie in [0, 1], got {val}")
+                raise ModelError(f"{name} must lie in [0, 1], got {val}", name)
         if self.coherence_slot_s is not None and self.coherence_slot_s <= 0:
-            raise ModelError("coherence slot must be positive")
+            raise ModelError("coherence slot must be positive", "coherence_slot_s")
 
     @property
     def slot_s(self) -> float:

@@ -1,10 +1,11 @@
 """Public API must have a caller besides its own unit tests.
 
-Every module-level public function and class in ``src/biphoton`` has to be
-referenced from somewhere other than the unit tests: another package module,
-the rest of its own module, the benchmark under ``bench/``, or the acceptance
-gate ``tests/test_acceptance.py``.  Code that only its own test reaches is
-deleted together with that test.
+Every module-level public function and class in ``src/biphoton``, and every
+public method and property of such a class, has to be referenced from
+somewhere other than the unit tests: another package module, the rest of its
+own module, the benchmark under ``bench/``, or the acceptance gate
+``tests/test_acceptance.py``.  Code that only its own test reaches is deleted
+together with that test.  Dataclass fields are not checked.
 """
 
 import ast
@@ -40,13 +41,20 @@ def _unreached():
     unreached = []
     for path, tree in modules.items():
         elsewhere = set().union(*(names for other, names in read_by.items() if other != path))
-        for node in tree.body:
-            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if not defines or node.name.startswith("_") or node.name in elsewhere:
-                continue
-            if node.name not in _names_read(tree, skip=node):
-                unreached.append(f"{path.stem}.{node.name}")
+        public = [(node, node.name) for node in tree.body if _is_public_def(node)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                public += [(node, f"{cls.name}.{node.name}") for node in cls.body
+                           if _is_public_def(node)]
+        for node, label in public:
+            if node.name not in elsewhere and node.name not in _names_read(tree, skip=node):
+                unreached.append(f"{path.stem}.{label}")
     return unreached
+
+
+def _is_public_def(node):
+    defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    return defines and not node.name.startswith("_")
 
 
 def test_every_public_function_and_class_has_a_caller_outside_unit_tests():

@@ -12,7 +12,7 @@ import pytest
 
 import biphoton.cli
 from biphoton.cli import main
-from biphoton.config import parse_config
+from biphoton.config import _SECTIONS, parse_config
 from biphoton.models import ModelError
 from biphoton.tagstream import (
     FORMAT_VERSION,
@@ -303,22 +303,74 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body,key", [
+# one out-of-range value, or more, for every [source] and [cavity] key that a
+# model check covers, and the huge rates whose draws would overflow
+_OUT_OF_RANGE = [
     ("[source]\nescape_s = 1.5\n", "escape_s"),
     ("[source]\ndetector_a_efficiency = 1.5\n", "detector_a_efficiency"),
     ("[source]\ngate_period_ns = 100\ngate_duty = 2\n", "gate_duty"),
     ("[source]\nfsr_mhz = 0\n", "fsr_mhz"),
     ("[source]\nescape_s = 2\ntransmission_s = 2\n", "escape_s"),
-])
+    ("[source]\npump_mw = -1\n", "pump_mw"),
+    ("[source]\ncreation_prob_per_mw = -0.1\n", "creation_prob_per_mw"),
+    ("[source]\nreference_window_ns = 0\n", "reference_window_ns"),
+    ("[source]\nsignal_linewidth_mhz = 0\n", "signal_linewidth_mhz"),
+    ("[source]\nidler_linewidth_mhz = -2\n", "idler_linewidth_mhz"),
+    ("[source]\nmode_weights = 0, 1\n", "mode_weights"),
+    ("[source]\nescape_i = -0.1\n", "escape_i"),
+    ("[source]\ntransmission_s = 1.5\n", "transmission_s"),
+    ("[source]\ntransmission_i = 2\n", "transmission_i"),
+    ("[source]\nidler_filter_transmission = 1.1\n", "idler_filter_transmission"),
+    ("[source]\nidler_filter_extinction = -0.5\n", "idler_filter_extinction"),
+    ("[source]\nsplitter_ratio = 1.5\n", "splitter_ratio"),
+    ("[source]\ncoherence_slot_ns = 0\n", "coherence_slot_ns"),
+    ("[source]\ndetector_a_dark_hz = -1\n", "detector_a_dark_hz"),
+    ("[source]\ndetector_a_dead_ns = -1\n", "detector_a_dead_ns"),
+    ("[source]\ndetector_b_efficiency = -0.1\n", "detector_b_efficiency"),
+    ("[source]\ndetector_b_dark_hz = -5\n", "detector_b_dark_hz"),
+    ("[source]\ndetector_b_dead_ns = -5\n", "detector_b_dead_ns"),
+    ("[source]\ndetector_i_efficiency = 2\n", "detector_i_efficiency"),
+    ("[source]\ndetector_i_dark_hz = -0.5\n", "detector_i_dark_hz"),
+    ("[source]\ndetector_i_dead_ns = -0.5\n", "detector_i_dead_ns"),
+    ("[source]\ngate_period_ns = 0.0001\n", "gate_period_ns"),
+    ("[source]\ngate_duty = 0\ngate_period_ns = 100\n", "gate_duty"),
+    ("[cavity]\nfinesse = 250\n", "finesse"),
+    ("[cavity]\nfinesse = 50\nfinesse_err = 60\n", "finesse_err"),
+    ("[cavity]\nfinesse_err = -1\n", "finesse_err"),
+    ("[cavity]\nr_hr = 2\n", "r_hr"),
+    ("[cavity]\nr_oc = 1.5\n", "r_oc"),
+    ("[cavity]\nr_oc_err = -1\n", "r_oc_err"),
+    ("[cavity]\nr_oc_err = 0.05\n", "r_oc_err"),
+    ("[cavity]\nn_hr = 0\n", "n_hr"),
+    ("[cavity]\nheralding_efficiency = -0.5\n", "heralding_efficiency"),
+    ("[cavity]\nheralding_transmission = 0\n", "heralding_transmission"),
+    ("[cavity]\nuncorrelated_fraction = 1\n", "uncorrelated_fraction"),
+    ("[source]\ndetector_a_dark_hz = 1e300\n[run]\nduration_s = 0.5\n", "detector_a_dark_hz"),
+    ("[source]\npump_mw = 1e300\n[run]\nduration_s = 0.5\n", "pump_mw"),
+    ("[source]\ncreation_prob_per_mw = 1e300\n[run]\nduration_s = 0.5\n",
+     "creation_prob_per_mw"),
+    ("[source]\nreference_window_ns = 1e-300\n", "reference_window_ns"),
+    ("[source]\nmode_weights = 1e-300, 1\n", "mode_weights"),
+    ("[sweep]\npowers_mw = 1, 1e300\n", "powers_mw"),
+]
+
+
+def test_out_of_range_cases_cover_every_checked_key():
+    unchecked = {"gate_phase_ns", "gate_darks", "pair_correlations"}
+    checked = set(_SECTIONS["source"]) - unchecked | set(_SECTIONS["cavity"])
+    assert checked <= {key for _, key in _OUT_OF_RANGE}
+
+
+@pytest.mark.parametrize("body,key", _OUT_OF_RANGE)
 def test_out_of_range_source_value_exits_2(tmp_path, capsys, body, key):
     cfg = _write(tmp_path, "bad.cfg", body)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:")
     assert err.count("\n") == 1
-    assert repr(key) in err
     line = body[: body.index(f"{key} =")].count("\n") + 1
-    assert f"config error: line {line}: bad value for {key!r}" in err
+    assert err.startswith(f"config error: line {line}: bad value for ")
+    # the keys at fault come before the model's message
+    assert repr(key) in err.split(": ")[2]
 
 
 @pytest.mark.parametrize("command,body,key", [

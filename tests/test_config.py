@@ -1,8 +1,15 @@
 """Configuration parsing, presets and the mapping onto simulator inputs."""
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from biphoton.config import (
+    _DETECTORS,
+    _KEYS,
+    _MODEL_NAMES,
+    _SUFFIXES,
     PRESET_NAMES,
     ConfigError,
     ExperimentConfig,
@@ -11,7 +18,8 @@ from biphoton.config import (
     parse_config,
     preset_config,
 )
-from biphoton.models import ModelError
+from biphoton.models import DetectorSpec, ModelError, cavity_solve, escape_from_heralding
+from biphoton.simulator import GateSpec, SourceParams
 
 
 def test_reference_preset_is_the_default_config():
@@ -90,6 +98,19 @@ def test_make_source_accepts_overrides():
 def test_make_source_propagates_model_validation():
     with pytest.raises(ModelError):
         ExperimentConfig().make_source(splitter_ratio=1.5)
+
+
+def test_blame_tables_name_real_keys_and_model_parameters():
+    keys = {f.name for f in fields(ExperimentConfig)}
+    parameters = {f.name for model in (SourceParams, GateSpec) for f in fields(model)}
+    for model in (cavity_solve, escape_from_heralding):
+        parameters |= set(inspect.signature(model).parameters)
+    for key, (name, _) in _MODEL_NAMES.items():
+        assert key in keys and name in parameters, key
+    for name, key in _KEYS.items():
+        assert key in keys and name in parameters, name
+    assert set(_SUFFIXES) == {f.name for f in fields(DetectorSpec)}
+    assert {d + suffix for d in _DETECTORS for suffix in _SUFFIXES.values()} <= keys
 
 
 def test_analysis_unit_properties():
@@ -199,6 +220,13 @@ def test_parse_errors_carry_line_numbers():
      ("windows_ns", "floor_min_ns")),
     ("[sweep]\npoint_duration_s = 1e7\n", 2, ("point_duration_s",)),
     ("[source]\ndetector_b_dead_ns = 5e15\n", 2, ("detector_b_dead_ns",)),
+    ("[cavity]\nfinesse = 250\n", 2, ("finesse", "r_hr", "r_oc", "n_hr")),
+    ("[cavity]\nfinesse_err = 60\nfinesse = 50\n", 3, ("finesse", "finesse_err")),
+    ("[cavity]\nr_oc_err = 0.05\n", 2, ("r_oc", "r_oc_err")),
+    ("[source]\npump_mw = 1e300\n", 2,
+     ("pump_mw", "creation_prob_per_mw", "reference_window_ns", "mode_weights")),
+    ("[sweep]\npoint_duration_s = 1e6\n[source]\ndetector_i_dark_hz = 1e7\n", 4,
+     ("detector_i_dark_hz",)),
 ])
 def test_value_errors_carry_line_numbers(text, lineno, keys):
     with pytest.raises(ConfigError, match=f"^line {lineno}: ") as info:

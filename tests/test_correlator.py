@@ -103,16 +103,13 @@ def test_histogram_rejects_bad_binning_and_channels():
 
 
 def test_histogram_dataclass_validation():
-    good = np.zeros(10, dtype=np.int64)
-    CorrelationHistogram(10, -50, 50, good, 0, 1, 1, 1, 100)
-    with pytest.raises(AnalysisError, match="bin width"):
-        CorrelationHistogram(0, -50, 50, good, 0, 1, 1, 1, 100)
-    with pytest.raises(AnalysisError, match="multiple"):
-        CorrelationHistogram(7, -50, 50, good, 0, 1, 1, 1, 100)
-    with pytest.raises(AnalysisError, match="length"):
-        CorrelationHistogram(10, -50, 50, np.zeros(9, dtype=np.int64), 0, 1, 1, 1, 100)
-    with pytest.raises(AnalysisError, match="negative"):
-        CorrelationHistogram(10, -50, 50, good - 1, 0, 1, 1, 1, 100)
+    # the binning is checked by cross_correlation_histogram, its only
+    # constructor; the dataclass only makes its counts read-only int64
+    hist = CorrelationHistogram(10, -50, 50, list(range(10)), 0, 1, 1, 1, 100)
+    assert hist.counts.dtype == np.int64
+    assert hist.counts.tolist() == list(range(10))
+    with pytest.raises(ValueError, match="read-only"):
+        hist.counts[0] = 5
 
 
 def test_bin_centers_sit_mid_bin():

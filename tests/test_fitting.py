@@ -243,10 +243,5 @@ def test_result_accessors_track_parameter_order():
     for i, name in enumerate(fit.names):
         assert fit.param(name) == fit.values[i]
         assert fit.error(name) == fit.errors[i]
-    unknown = FitResult("mystery", ("a",), np.ones(1), np.ones(1), 0.0, True, 1)
-    with pytest.raises(AnalysisError):
-        unknown.fwhm_s()
-    with pytest.raises(AnalysisError):
-        unknown.g2_zero()
     with pytest.raises(AnalysisError, match="unknown model"):
         finite_difference_check("biexponential", [1.0], np.linspace(-1e-7, 1e-7, 11))
