@@ -55,6 +55,13 @@ def _float(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("expected an integer below 2^63 in magnitude")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -65,7 +72,7 @@ def _floats(text: str) -> tuple[float, ...]:
 # field annotation -> converter for the config-file value
 _CONVERTERS = {
     "float": _float,
-    "int": int,
+    "int": _int,
     "bool": _bool,
     "tuple[float, ...]": _floats,
     "str": str.strip,
@@ -234,18 +241,12 @@ class ExperimentConfig:
             raise _bad_value(tuple(_KEYS.get(field, field) for field in exc.fields), exc) from None
         # the photons, and the darks, that each detector expects in the
         # longest run at each pump the config asks for
-        w = source.mode_weights
-        pairs_per_mw_s = source.creation_prob_per_mw / source.reference_window_s * sum(w) / w[0]
-        signal = source.escape_s * source.transmission_s
-        idler = source.escape_i * source.transmission_i
         for pump_key, pump, duration in (
             ("pump_mw", self.pump_mw, self.duration_s),
             ("powers_mw", max(self.powers_mw), self.point_duration_s),
         ):
-            for name, arm in zip(_DETECTORS, (signal, signal, idler)):
-                detector = getattr(source, name)
-                photons = pairs_per_mw_s * pump * duration * arm * detector.efficiency
-                darks = detector.dark_rate_hz * duration
+            counts = replace(source, pump_mw=pump).expected_tags(duration)
+            for name, (photons, darks) in counts.items():
                 dark_key = name + "_dark_hz"
                 for count, keys in ((photons, (pump_key, *_PAIR_KEYS)), (darks, (dark_key,))):
                     if not count <= _MAX_EXPECTED_TAGS:
@@ -336,7 +337,7 @@ _MODEL_NAMES = {
 # model parameter -> config key for blame: the table reversed plus the gate's;
 # every other parameter a ModelError names is its own key
 _KEYS = {name: key for key, (name, _) in _MODEL_NAMES.items()}
-_KEYS.update(period_ps="gate_period_ns", duty="gate_duty", phase_ps="gate_phase_ns")
+_KEYS.update(period_ps="gate_period_ns", duty="gate_duty")
 
 
 # Measurement arrangements used throughout: the cross-correlation setup sends

@@ -181,6 +181,22 @@ class SourceParams:
         """Created pairs per second in the central mode at the set pump."""
         return self.creation_prob_per_mw * self.pump_mw / self.reference_window_s
 
+    def expected_tags(self, duration_s: float) -> dict[str, tuple[float, float]]:
+        """Detector field -> (photons, darks) it expects in ``duration_s``,
+        before the gate and dead time and with the whole of its arm routed to
+        it, so at least the mean of a draw at any splitter ratio."""
+        w = self.mode_weights
+        pairs = self.central_pair_rate_hz / w[0] * duration_s
+        signal = pairs * sum(w) * self.escape_s * self.transmission_s
+        filtered = self.idler_filter_transmission * w[0]
+        filtered += self.idler_filter_extinction * (sum(w) - w[0])
+        idler = pairs * filtered * self.escape_i * self.transmission_i
+        counts = {}
+        for name, arm in zip(("detector_a", "detector_b", "detector_i"), (signal, signal, idler)):
+            detector = getattr(self, name)
+            counts[name] = (arm * detector.efficiency, detector.dark_rate_hz * duration_s)
+        return counts
+
 
 # ---------------------------------------------------------------------------
 # tag generation

@@ -303,8 +303,11 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+# the keys that scale the expected photon counts
+_PAIR = "pump_mw creation_prob_per_mw reference_window_ns mode_weights"
 # one out-of-range value, or more, for every [source] and [cavity] key that a
-# model check covers, and the huge rates whose draws would overflow
+# model check covers, and the huge values that would overflow; each with the
+# keys its message blames, in order
 _OUT_OF_RANGE = [
     ("[source]\nescape_s = 1.5\n", "escape_s"),
     ("[source]\ndetector_a_efficiency = 1.5\n", "detector_a_efficiency"),
@@ -334,31 +337,38 @@ _OUT_OF_RANGE = [
     ("[source]\ndetector_i_dead_ns = -0.5\n", "detector_i_dead_ns"),
     ("[source]\ngate_period_ns = 0.0001\n", "gate_period_ns"),
     ("[source]\ngate_duty = 0\ngate_period_ns = 100\n", "gate_duty"),
-    ("[cavity]\nfinesse = 250\n", "finesse"),
-    ("[cavity]\nfinesse = 50\nfinesse_err = 60\n", "finesse_err"),
+    ("[cavity]\nfinesse = 250\n", "finesse r_hr r_oc n_hr"),
+    ("[cavity]\nfinesse = 50\nfinesse_err = 60\n", "finesse finesse_err"),
     ("[cavity]\nfinesse_err = -1\n", "finesse_err"),
     ("[cavity]\nr_hr = 2\n", "r_hr"),
     ("[cavity]\nr_oc = 1.5\n", "r_oc"),
     ("[cavity]\nr_oc_err = -1\n", "r_oc_err"),
-    ("[cavity]\nr_oc_err = 0.05\n", "r_oc_err"),
+    ("[cavity]\nr_oc_err = 0.05\n", "r_oc r_oc_err"),
     ("[cavity]\nn_hr = 0\n", "n_hr"),
+    ("[cavity]\nn_hr = 1" + "0" * 309 + "\n", "n_hr"),
     ("[cavity]\nheralding_efficiency = -0.5\n", "heralding_efficiency"),
     ("[cavity]\nheralding_transmission = 0\n", "heralding_transmission"),
     ("[cavity]\nuncorrelated_fraction = 1\n", "uncorrelated_fraction"),
     ("[source]\ndetector_a_dark_hz = 1e300\n[run]\nduration_s = 0.5\n", "detector_a_dark_hz"),
-    ("[source]\npump_mw = 1e300\n[run]\nduration_s = 0.5\n", "pump_mw"),
-    ("[source]\ncreation_prob_per_mw = 1e300\n[run]\nduration_s = 0.5\n",
-     "creation_prob_per_mw"),
-    ("[source]\nreference_window_ns = 1e-300\n", "reference_window_ns"),
-    ("[source]\nmode_weights = 1e-300, 1\n", "mode_weights"),
-    ("[sweep]\npowers_mw = 1, 1e300\n", "powers_mw"),
+    ("[source]\npump_mw = 1e300\n[run]\nduration_s = 0.5\n", _PAIR),
+    ("[source]\ncreation_prob_per_mw = 1e300\n[run]\nduration_s = 0.5\n", _PAIR),
+    ("[source]\nreference_window_ns = 1e-300\n", _PAIR),
+    ("[source]\nmode_weights = 1e-300, 1\n", _PAIR),
+    ("[sweep]\npowers_mw = 1, 1e300\n", "powers_mw" + _PAIR[7:]),
 ]
+
+
+def _blamed_lines(body, key):
+    """Blamed key -> the line that assigns it, for the keys the body assigns."""
+    keys = key.split()
+    lines = enumerate(body.splitlines(), 1)
+    return {k: n for n, text in lines for k in keys if text.startswith(k + " =")}
 
 
 def test_out_of_range_cases_cover_every_checked_key():
     unchecked = {"gate_phase_ns", "gate_darks", "pair_correlations"}
     checked = set(_SECTIONS["source"]) - unchecked | set(_SECTIONS["cavity"])
-    assert checked <= {key for _, key in _OUT_OF_RANGE}
+    assert checked <= {k for body, key in _OUT_OF_RANGE for k in _blamed_lines(body, key)}
 
 
 @pytest.mark.parametrize("body,key", _OUT_OF_RANGE)
@@ -367,10 +377,10 @@ def test_out_of_range_source_value_exits_2(tmp_path, capsys, body, key):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    line = body[: body.index(f"{key} =")].count("\n") + 1
-    assert err.startswith(f"config error: line {line}: bad value for ")
-    # the keys at fault come before the model's message
-    assert repr(key) in err.split(": ")[2]
+    # every key at fault, in order, and the last line that assigns one
+    line = max(_blamed_lines(body, key).values())
+    keys = ", ".join(map(repr, key.split()))
+    assert err.startswith(f"config error: line {line}: bad value for {keys}: ")
 
 
 @pytest.mark.parametrize("command,body,key", [

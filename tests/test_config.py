@@ -220,11 +220,7 @@ def test_parse_errors_carry_line_numbers():
      ("windows_ns", "floor_min_ns")),
     ("[sweep]\npoint_duration_s = 1e7\n", 2, ("point_duration_s",)),
     ("[source]\ndetector_b_dead_ns = 5e15\n", 2, ("detector_b_dead_ns",)),
-    ("[cavity]\nfinesse = 250\n", 2, ("finesse", "r_hr", "r_oc", "n_hr")),
     ("[cavity]\nfinesse_err = 60\nfinesse = 50\n", 3, ("finesse", "finesse_err")),
-    ("[cavity]\nr_oc_err = 0.05\n", 2, ("r_oc", "r_oc_err")),
-    ("[source]\npump_mw = 1e300\n", 2,
-     ("pump_mw", "creation_prob_per_mw", "reference_window_ns", "mode_weights")),
     ("[sweep]\npoint_duration_s = 1e6\n[source]\ndetector_i_dark_hz = 1e7\n", 4,
      ("detector_i_dark_hz",)),
 ])

@@ -278,6 +278,26 @@ def test_efficiencies_thin_the_arms():
     assert abs(stream.count(2) - 0.2 * pairs) < 5.0 * np.sqrt(0.2 * pairs)
 
 
+def test_expected_tags_are_the_mean_of_a_draw():
+    # side modes, a lossy signal arm split over A and B, a leaky idler filter
+    params = SourceParams(
+        mode_weights=(1.0, 0.5, 0.5),
+        escape_s=0.5,
+        idler_filter_extinction=0.2,
+        splitter_ratio=0.5,
+        detector_a=DetectorSpec(1.0, 100.0),
+        detector_i=DetectorSpec(0.5, 50.0),
+    )
+    (photons, dark_a), (_, dark_b), (idler, dark_i) = params.expected_tags(2.0).values()
+    assert (photons, idler) == pytest.approx((13_550.0, 8_130.0), rel=1e-12)
+    stream = simulate_source(params, 2.0, seed=10)
+    for n, expect in (
+        (stream.count(0) + stream.count(1), photons + dark_a + dark_b),
+        (stream.count(2), idler + dark_i),
+    ):
+        assert abs(n - expect) < 5.0 * np.sqrt(expect)
+
+
 # --- pair delay structure ---------------------------------------------------------
 
 
