@@ -45,17 +45,16 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class BiphotonSpec:
-    """Correlation time and bandwidth implied by the two linewidths."""
+    """Bandwidth implied by the two linewidths."""
 
     signal_linewidth_hz: float
     idler_linewidth_hz: float
-    correlation_time_s: float
     bandwidth_hz: float
 
 
 def biphoton_from_linewidths(dnu_s_hz: float, dnu_i_hz: float) -> BiphotonSpec:
-    """Correlation time and biphoton bandwidth of a two-sided exponential
-    wavepacket with the given Lorentzian linewidths.
+    """Biphoton bandwidth of a two-sided exponential wavepacket with the
+    given Lorentzian linewidths.
 
     The correlation time is the full width at half maximum of the
     cross-correlation peak, ln2/(2 pi dnu_s) + ln2/(2 pi dnu_i); the bandwidth
@@ -64,7 +63,7 @@ def biphoton_from_linewidths(dnu_s_hz: float, dnu_i_hz: float) -> BiphotonSpec:
     if dnu_s_hz <= 0 or dnu_i_hz <= 0:
         raise ModelError("linewidths must be positive")
     tau_c = LN2 / (2.0 * math.pi) * (1.0 / dnu_s_hz + 1.0 / dnu_i_hz)
-    return BiphotonSpec(dnu_s_hz, dnu_i_hz, tau_c, LN2 / (math.pi * tau_c))
+    return BiphotonSpec(dnu_s_hz, dnu_i_hz, LN2 / (math.pi * tau_c))
 
 
 def lorentzian_autocorrelation(dnu_hz: float, tau_s: float) -> float:
@@ -169,7 +168,6 @@ class RateBudget:
     """Created-pair rate and derived quantities inferred from a detected
     coincidence slope and the loss chain."""
 
-    detected_per_s_mw: float
     created_per_s_mw: float
     spectral_brightness_per_s_mw_mhz: float
     creation_prob_per_mw: float
@@ -209,7 +207,7 @@ def rate_budget(
     created = detected_per_s_mw / (eta_t_s * eta_det_s * eta_t_i * eta_det_i)
     brightness = created / (bandwidth_hz / 1e6)
     p = created / (eta_esc_s * eta_esc_i) * window_s
-    return RateBudget(detected_per_s_mw, created, brightness, p, window_s)
+    return RateBudget(created, brightness, p, window_s)
 
 
 def g2_power_model(

@@ -8,9 +8,15 @@ where the file format needs it: ``write_tags`` builds it on demand.  Its
 ordering rule (non-decreasing times, simultaneous records in ascending channel
 order, so no duplicate ``(time, channel)`` record) is checked by every
 constructor, and the file reader reports its first violation as a
-:class:`MonotonicityError`.  The merged constructor and the reader share one
-check-and-split, which runs slices of records as tasks on ``workers``
-threads; any worker count gives the same arrays and the same first violation.
+:class:`MonotonicityError`.  Times lie in ``[0, 2^62)`` ps, the simulator's
+clock, so an analysis can add any delay below 2^62 ps without wrapping.  The
+merged constructor and the reader share one check-and-split, which takes
+slices of records as tasks on ``workers`` threads in two rounds: the first
+counts each slice's channels, the second takes the slice again and checks
+and places its times.  The reader reads each slice from the file in both
+rounds, so neither the file nor a merged column of all its records is ever
+held whole; any worker count gives the same arrays and the same first
+violation.
 
 Binary file layout (little-endian):
 
@@ -20,7 +26,7 @@ Binary file layout (little-endian):
             u32 timestamp resolution in picoseconds (must be 1)
             u32 channel count
             u64 record count
-    record  u64 timestamp in picoseconds (at most 2^63 - 1)
+    record  u64 timestamp in picoseconds (below 2^62)
             u8  channel
             u8  flags (written as 0, ignored on read)
             u16 reserved
@@ -61,6 +67,9 @@ DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 # records per check-and-split task, which also reads its slice of a file, so
 # neither the raw file nor a temporary is ever held whole
 _CHUNK_RECORDS = 1 << 20
+# timestamps lie in [0, 2^62) ps, the simulator's clock, so an analysis can add
+# any delay below 2^62 ps to them without wrapping
+_CLOCK_PS = 1 << 62
 # the times of every channel without tags
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -75,6 +84,16 @@ class TagStreamError(ValueError):
     def __init__(self, message: str, index: int | None = None) -> None:
         self.index = index
         super().__init__(message)
+
+
+class _ClockError(TagStreamError):
+    """A timestamp outside ``[0, 2^62)`` ps; as int64, a file's times above
+    2^63 - 1 are negative."""
+
+    def __init__(self, index: int, time: int) -> None:
+        self.time = time
+        what = "negative timestamps are" if time < 0 else "timestamps of 2^62 ps or more are"
+        super().__init__(f"{what} not allowed", index)
 
 
 class FormatError(ValueError):
@@ -102,56 +121,77 @@ def _first_disorder(times: np.ndarray, channels: np.ndarray) -> int:
     return first if first < times.size else 0
 
 
-def _check_split(
-    times: np.ndarray, channels: np.ndarray, workers: int = 1, load: Callable | None = None
-) -> dict[int, np.ndarray]:
-    """Each present channel's times, after checking the ordering rule.
+def _disorder_error(before: tuple[int, int], after: tuple[int, int], index: int) -> TagStreamError:
+    """The error for record ``index``, ``after``, which is not strictly after
+    its predecessor ``before``; both are ``(time, channel)``."""
+    if after[0] < before[0]:
+        return TagStreamError(f"tags out of order at index {index}", index)
+    if after[1] == before[1]:
+        return TagStreamError(f"duplicate (time, channel) record at index {index}", index)
+    return TagStreamError(f"simultaneous tags not in channel order at index {index}", index)
 
-    Runs in two rounds of one task per slice of ``_CHUNK_RECORDS`` records on
-    ``workers`` threads, so no temporary outgrows a slice.  The first round
-    calls ``load(part)`` to fill the slice's records, if given, finds the
-    slice's first disorder and counts its channels; the first violation, in
-    a slice or across a slice boundary, raises :class:`TagStreamError`.  The
-    second round copies each slice's times into the places that the prefix
-    sums of the counts give it in arrays sized by those counts."""
-    step, size = _CHUNK_RECORDS, times.size
+
+def _check_split(
+    size: int, fields: Callable[[slice], tuple[np.ndarray, np.ndarray]], workers: int = 1
+) -> dict[int, np.ndarray]:
+    """Each present channel's times among ``size`` merged records, after
+    checking the ordering rule and the clock range.
+
+    ``fields(part)`` gives one slice's ``(times, channels)``; no column of all
+    the records is ever built.  Two rounds run one task per slice of
+    ``_CHUNK_RECORDS`` records on ``workers`` threads, so no temporary
+    outgrows a slice.  The first round counts each slice's channels, which
+    sizes each channel's array and gives each slice its places in them.  The
+    second takes each slice again, as contiguous arrays, and checks exactly
+    the times it places: it finds the slice's first disorder and its first
+    time outside ``[0, 2^62)``, checks that each channel's count is the first
+    round's, and compresses the times into place.  After the round, the
+    records on either side of each slice boundary are compared, and the
+    first time out of range, else the first violation, raises.  A count that
+    changed between the rounds raises :class:`FormatError`."""
+    step = _CHUNK_RECORDS
     slices = [slice(at, min(at + step, size)) for at in range(0, size, step)]
 
-    def survey(part: slice) -> tuple[int, np.ndarray]:
-        if load is not None:
-            load(part)
-        i = _first_disorder(times[part], channels[part])
-        return (part.start + i if i else 0), np.bincount(channels[part], minlength=256)
+    def count(part: slice) -> np.ndarray:
+        return np.bincount(fields(part)[1], minlength=256)
 
-    surveyed = in_order(survey, slices, workers)
-    if times.size and times[0] < 0:
-        raise TagStreamError("negative timestamps are not allowed")
-    # a boundary breaks the rule where its two records, as a slice, do
-    found = [i for i, _ in surveyed if i] + [
-        at
-        for at in (part.start for part in slices[1:])
-        if _first_disorder(times[at - 1 : at + 1], channels[at - 1 : at + 1])
-    ]
-    if found:
-        i = min(found)
-        if times[i] < times[i - 1]:
-            raise TagStreamError(f"tags out of order at index {i}", i)
-        if channels[i] == channels[i - 1]:
-            raise TagStreamError(f"duplicate (time, channel) record at index {i}", i)
-        raise TagStreamError(f"simultaneous tags not in channel order at index {i}", i)
-
-    counts = np.array([n for _, n in surveyed], dtype=np.int64).reshape(len(slices), 256)
+    counts = np.array(in_order(count, slices, workers), dtype=np.int64).reshape(len(slices), 256)
     places = np.cumsum(counts, axis=0) - counts
     total = counts.sum(axis=0)
     out = {int(c): np.empty(total[c], dtype=np.int64) for c in np.flatnonzero(total)}
 
-    def place(k: int) -> None:
+    def place(k: int) -> tuple | None:
         part, n, at = slices[k], counts[k], places[k]
+        # strided fields cost twice as much to compare and compress
+        times, channels = (np.ascontiguousarray(f) for f in fields(part))
+        i = _first_disorder(times, channels)
+        fault = None
+        if i:
+            fault = _disorder_error(
+                (times[i - 1], channels[i - 1]), (times[i], channels[i]), part.start + i
+            )
+        far = np.flatnonzero(times.view(np.uint64) >= _CLOCK_PS)
+        beyond = _ClockError(part.start + int(far[0]), int(times[far[0]])) if far.size else None
         for channel, dest in out.items():
-            where = dest[at[channel] : at[channel] + n[channel]]
-            np.compress(channels[part] == channel, times[part], out=where)
+            keep = channels == channel
+            if np.count_nonzero(keep) != n[channel]:
+                return None
+            np.compress(keep, times, out=dest[at[channel] : at[channel] + n[channel]])
+        return fault, beyond, (int(times[0]), int(channels[0])), (int(times[-1]), int(channels[-1]))
 
-    in_order(place, range(len(slices)), workers)
+    placed = in_order(place, range(len(slices)), workers)
+    if None in placed:
+        raise FormatError("records changed between the two reads")
+    # the first time out of range wins over any disorder
+    errors = [beyond for _, beyond, _, _ in placed if beyond]
+    if not errors:
+        errors = [fault for fault, _, _, _ in placed if fault]
+        for k in range(1, len(slices)):
+            before, after = placed[k - 1][3], placed[k][2]
+            if after <= before:
+                errors.append(_disorder_error(before, after, slices[k].start))
+    if errors:
+        raise min(errors, key=lambda error: error.index)
     return out
 
 
@@ -179,13 +219,13 @@ class TagStream:
         channels = np.ascontiguousarray(channels, dtype=np.uint8)
         if times.ndim != 1 or channels.shape != times.shape:
             raise TagStreamError("times and channels must be 1-D arrays of equal length")
-        self._fill(_check_split(times, channels))
+        self._fill(_check_split(times.size, lambda part: (times[part], channels[part])))
 
     @classmethod
     def from_channels(cls, by_channel: dict[int, np.ndarray]) -> TagStream:
         """Stream whose channels are the keys of ``by_channel``, tagless ones
-        included; each channel's times must be non-negative and strictly
-        increasing."""
+        included; each channel's times must lie in ``[0, 2^62)`` ps and be
+        strictly increasing."""
         arrays = {}
         for channel, times in by_channel.items():
             times = np.array(times, dtype=np.int64)  # a copy: the stream freezes it
@@ -195,6 +235,10 @@ class TagStream:
                 raise TagStreamError(f"channel {channel}: times not increasing at index {i}", i)
             if times.size and times[0] < 0:
                 raise TagStreamError(f"channel {channel}: negative timestamps are not allowed")
+            if times.size and times[-1] >= _CLOCK_PS:
+                raise TagStreamError(
+                    f"channel {channel}: timestamps of 2^62 ps or more are not allowed"
+                )
             arrays[int(channel)] = times
         stream = cls.__new__(cls)
         stream._fill(arrays)
@@ -262,13 +306,6 @@ def write_tags(stream: TagStream, destination) -> int:
         return fh.write(header) + fh.write(records)
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
-
-
 def read_tags(source, workers: int = 1) -> TagStream:
     """Read a binary tag file and return a validated :class:`TagStream`,
     checking and splitting its records a slice at a time on ``workers``
@@ -280,7 +317,9 @@ def read_tags(source, workers: int = 1) -> TagStream:
 
 
 def _read_stream(fh: BinaryIO, workers: int) -> TagStream:
-    raw = _read_exact(fh, HEADER_STRUCT.size, "header")
+    raw = fh.read(HEADER_STRUCT.size)
+    if len(raw) != HEADER_STRUCT.size:
+        raise FormatError("truncated file while reading header")
     magic, version, _, resolution_ps, channel_count, record_count = HEADER_STRUCT.unpack(raw)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -296,27 +335,24 @@ def _read_stream(fh: BinaryIO, workers: int) -> TagStream:
             f"header announces {record_count} records ({size} bytes), "
             f"but {available} bytes of records follow it"
         )
-    times = np.empty(record_count, dtype=np.int64)
-    channels = np.empty(record_count, dtype=np.uint8)
     position = threading.Lock()  # the file's one read position
 
-    def load(part: slice) -> None:
+    def fields(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        records = np.empty(part.stop - part.start, dtype=RECORD_DTYPE)
         with position:
             fh.seek(start + part.start * RECORD_DTYPE.itemsize)
-            raw = _read_exact(fh, (part.stop - part.start) * RECORD_DTYPE.itemsize, "records")
-        records = np.frombuffer(raw, dtype=RECORD_DTYPE)
-        times[part] = records["time"]
-        channels[part] = records["channel"]
+            got = fh.readinto(records)
+        if got != records.nbytes:
+            raise FormatError("truncated file while reading records")
+        # as int64, so times above 2^63 - 1 are negative
+        return records["time"].view(np.int64), records["channel"]
 
     try:
-        by_channel = _check_split(times, channels, workers, load)
+        by_channel = _check_split(record_count, fields, workers)
+    except _ClockError as exc:
+        bound = 63 if exc.time < 0 else 62
+        raise FormatError(f"record {exc.index} has a timestamp above 2^{bound} - 1") from None
     except TagStreamError as exc:
-        # times above 2^63 - 1 wrap to negative int64 values, which always
-        # break the ordering rule (a negative first time, or a step back), so
-        # the range is only examined once that check has failed
-        if times.min() < 0:
-            first = int(np.argmax(times < 0))
-            raise FormatError(f"record {first} has a timestamp above 2^63 - 1") from None
         raise MonotonicityError(exc.index) from None
     stream = TagStream.__new__(TagStream)
     stream._fill(by_channel)

@@ -18,6 +18,7 @@ from biphoton.tagstream import (
     FORMAT_VERSION,
     HEADER_STRUCT,
     MAGIC,
+    RECORD_DTYPE,
     TagStream,
     read_tags,
     write_tags,
@@ -442,6 +443,32 @@ def test_tag_file_at_another_resolution_exits_3(tmp_path, capsys):
     assert err.startswith("analysis error:")
     assert "8 ps" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["xcorr", "metrics", "sweep-window"])
+def test_tag_times_past_the_clock_exit_3(tmp_path, capsys, command):
+    """400 heralds and 400 signals in the last 10 us below 2^63 - 1, where
+    adding a delay to a time would wrap: the read refuses them with one
+    line.  Below 2^62 ps, the clock's limit, the same tags are analysed."""
+    rng = np.random.default_rng(3)
+    offsets = np.concatenate([rng.choice(10_000_000, 400, replace=False) for _ in range(2)])
+    channels = np.repeat(np.array([2, 0], dtype=np.uint8), 400)
+    order = np.lexsort((channels, offsets))
+    records = np.zeros(800, dtype=RECORD_DTYPE)
+    records["channel"] = channels[order]
+    for top, rc in ((2**63 - 1, 3), (2**62, None)):
+        records["time"] = top - 10_000_000 + offsets[order]
+        path = tmp_path / "late.bin"
+        header = HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, 0, 1, 2, 800)
+        path.write_bytes(header + records.tobytes())
+        got = main([command, "--tags", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if rc == 3:
+            assert got == 3
+            assert err == "analysis error: record 0 has a timestamp above 2^62 - 1\n"
+        else:
+            # an analysis may still find too few tags, but never in a traceback
+            assert got in (0, 3) and err.count("\n") == (got == 3)
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, lossless_tags, monkeypatch):

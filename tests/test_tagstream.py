@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import biphoton.cli
+from biphoton.cli import main
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -126,14 +129,21 @@ def test_read_rejects_truncated_records():
 
 def test_read_rejects_timestamps_beyond_int64():
     # in time order, first, and out of order: the range error names the record
-    for rows, index in (
-        ([(100, 0), (2**63, 1)], 1),
-        ([(2**64 - 1, 0)], 0),
-        ([(5, 0), (2**63 + 7, 1), (3, 2)], 1),
+    for rows, index, bound in (
+        ([(100, 0), (2**63, 1)], 1, 63),
+        ([(2**64 - 1, 0)], 0, 63),
+        ([(5, 0), (2**63 + 7, 1), (3, 2)], 1, 63),
+        # past the 2^62 ps clock, where an analysis could wrap adding a delay
+        ([(7, 0), (2**62, 2), (2**63, 1)], 1, 62),
     ):
         payload = _records(rows)
-        with pytest.raises(FormatError, match=f"record {index} has a timestamp above"):
+        error = rf"record {index} has a timestamp above 2\^{bound} - 1$"
+        with pytest.raises(FormatError, match=error):
             read_tags(io.BytesIO(_header(records=len(rows)) + payload))
+    last = read_tags(io.BytesIO(_header(records=1) + _records([(2**62 - 1, 3)])))
+    assert list(last.channel_times(3)) == [2**62 - 1]
+    with pytest.raises(TagStreamError, match="2\\^62 ps or more"):
+        TagStream([3, 2**62], [0, 0])
 
 
 def _records(rows, flags=0):
@@ -215,8 +225,9 @@ def test_sliced_read_is_the_same_on_any_worker_count(monkeypatch):
 
 
 def test_read_holds_no_more_than_the_arrays_and_a_slice_per_worker(tmp_path, monkeypatch):
-    """The merged columns (9 bytes a record) and the channel arrays (8 bytes a
-    record) plus one record slice per worker: the raw file is never whole."""
+    """The channel arrays (8 bytes a record) plus a working set of about two
+    record slices per worker: neither the raw file nor a merged column of
+    all the records is ever built."""
     monkeypatch.setattr(tagstream, "_CHUNK_RECORDS", 1 << 16)
     n = 2_000_000
     path = tmp_path / "tags.bin"
@@ -229,7 +240,7 @@ def test_read_holds_no_more_than_the_arrays_and_a_slice_per_worker(tmp_path, mon
         tracemalloc.stop()
     assert len(back) == n
     slice_bytes = RECORD_DTYPE.itemsize << 16
-    assert peak <= 17 * n + 2 * slice_bytes + (1 << 20), peak
+    assert peak <= 8 * n + 2 * 2 * slice_bytes + (1 << 20), peak
 
 
 @pytest.mark.parametrize("n, high", [(0, 1), (500, 256), (10_000, 6)], ids=["empty", "wide", "few"])
@@ -316,8 +327,8 @@ def test_constructor_rejects_negative_times():
 
 @pytest.mark.parametrize(
     "times, match",
-    [([-3, 5], "negative"), ([4, 4, 9], "index 1"), ([1, 8, 7], "index 2")],
-    ids=["negative", "repeated", "decreasing"],
+    [([-3, 5], "negative"), ([4, 4, 9], "index 1"), ([1, 8, 7], "index 2"), ([5, 2**62], "2\\^62")],
+    ids=["negative", "repeated", "decreasing", "past-the-clock"],
 )
 def test_from_channels_rejects_times_that_are_not_strictly_increasing(times, match):
     with pytest.raises(TagStreamError, match=match):
@@ -389,24 +400,123 @@ def _first_violation(records):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_RECORDS)
 def test_ordering_rule_matches_brute_force(records):
+    """Whole, and in slices of 3 records on 1 and 2 workers, so that faults
+    at and across slice boundaries face the oracle too."""
     times = np.array([t for t, _ in records], dtype=np.int64)
     channels = np.array([c for _, c in records], dtype=np.uint8)
-    raw = io.BytesIO(_header(records=len(records)) + _records(records))
+    data = _header(records=len(records)) + _records(records)
     violation = _first_violation(records)
-    if violation is None:
-        assert len(TagStream(times, channels)) == len(records)
-        back_times, back_channels = _file_records(read_tags(raw))
-        assert np.array_equal(back_times, times)
-        assert np.array_equal(back_channels, channels)
-        return
-    index, kind = violation
-    with pytest.raises(TagStreamError) as info:
-        TagStream(times, channels)
-    assert str(info.value) == f"{kind} at index {index}"
-    assert info.value.index == index
-    with pytest.raises(MonotonicityError) as info:
-        read_tags(raw)
-    assert info.value.index == index
+    for chunk, workers in ((tagstream._CHUNK_RECORDS, 1), (3, 1), (3, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagstream, "_CHUNK_RECORDS", chunk)
+            if violation is None:
+                assert len(TagStream(times, channels)) == len(records)
+                back_times, back_channels = _file_records(read_tags(io.BytesIO(data), workers))
+                assert np.array_equal(back_times, times)
+                assert np.array_equal(back_channels, channels)
+                continue
+            index, kind = violation
+            with pytest.raises(TagStreamError) as info:
+                TagStream(times, channels)
+            assert str(info.value) == f"{kind} at index {index}"
+            assert info.value.index == index
+            with pytest.raises(MonotonicityError) as info:
+                read_tags(io.BytesIO(data), workers)
+            assert info.value.index == index
+
+
+# --- a file that changes while it is read -----------------------------------
+
+
+class _ChangingFile(io.BytesIO):
+    """A tag file whose records become ``later`` once each record byte has
+    been read: after the reader's first full pass."""
+
+    def __init__(self, records, later):
+        super().__init__(_header(records=len(records)) + _records(records))
+        self.later, self.left = _records(later), len(records) * RECORD_DTYPE.itemsize
+
+    def readinto(self, buffer):
+        got = super().readinto(buffer)
+        self.left -= got
+        if self.left <= 0 and self.later is not None:
+            at = self.tell()
+            self.seek(HEADER_STRUCT.size)
+            self.write(self.later)
+            self.truncate()
+            self.seek(at)
+            self.later = None
+        return got
+
+
+def _slice_counts(records, chunk):
+    return [sorted(c for _, c in records[at : at + chunk]) for at in range(0, len(records), chunk)]
+
+
+_SORTED = st.lists(_RECORD, min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _SORTED.flatmap(
+        lambda first: st.tuples(
+            st.just(first),
+            st.one_of(
+                st.permutations(first),  # the same channel counts, out of order
+                st.lists(_RECORD, min_size=len(first), max_size=len(first)).map(sorted),
+                st.lists(_RECORD, min_size=len(first), max_size=len(first)),
+                st.lists(_RECORD, max_size=len(first) - 1).map(sorted),  # truncated
+            ),
+        )
+    )
+)
+def test_a_file_that_changes_between_the_reads_never_gives_unsorted_channels(files):
+    """The second pass checks exactly the records it places: a read either
+    fails with a file error or returns the later records, split by channel."""
+    first, later = files
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagstream, "_CHUNK_RECORDS", 3)
+            source = _ChangingFile(first, later)
+            try:
+                stream = read_tags(source, workers)
+            except FormatError:
+                assert source.later is None
+                assert (
+                    len(later) < len(first)
+                    or _slice_counts(later, 3) != _slice_counts(first, 3)
+                    or _first_violation(later) is not None
+                )
+                continue
+            assert _slice_counts(later, 3) == _slice_counts(first, 3)
+            assert _first_violation(later) is None
+            for channel in range(256):
+                want = [t for t, c in later if c == channel]
+                assert stream.channel_times(channel).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        (lambda rows: rows[::-1], "record 1 breaks time ordering"),
+        (lambda rows: [(t, 3) for t, _ in rows], "records changed between the two reads"),
+        (lambda rows: rows[:-1], "truncated file while reading records"),
+    ],
+    ids=["reordered", "recounted", "truncated"],
+)
+def test_cli_exits_3_when_the_file_changes_between_the_reads(
+    tmp_path, monkeypatch, capsys, later, message
+):
+    rows = [(1_000 * k, k % 3) for k in range(600)]
+    read = biphoton.cli.read_tags
+
+    def changing(path, workers):
+        return read(_ChangingFile(rows, later(rows)), workers)
+
+    monkeypatch.setattr(biphoton.cli, "read_tags", changing)
+    out = tmp_path / "out"
+    assert main(["xcorr", "--tags", str(tmp_path / "tags.bin"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"analysis error: {message}\n"
 
 
 def test_importing_tagstream_loads_no_other_biphoton_module():
