@@ -4,6 +4,11 @@ tag reader's record slices."""
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
+# items per chunk task: starts or heralds per correlator task, pairs per kernel
+# run, records per reader slice.  A chunk's int64 temporaries (512 kB each)
+# stay in cache, and a worker's working set is a few of them.
+CHUNK = 1 << 16
+
 
 def in_order(fn: Callable, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]`` on this thread and up to ``workers - 1``

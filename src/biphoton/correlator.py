@@ -5,11 +5,14 @@ Histograms are multi-stop: every (start, stop) pair whose delay falls in the
 requested range is counted, which is unbiased at high rates where classical
 start-stop counting saturates.  One kernel counts every pair (binary searches
 for each start's stop range, then one bincount over the bins between sorted
-edges).  Every stop search runs as start-chunk tasks on the package's one task
-runner, in which the calling thread takes tasks too, so any worker count gives
-bit-identical results.  Windows centred at zero delay, and their accidental
-floor, are counted in exact picoseconds by one stop search per analysis;
-peak-centred g2 reads the histogram it is given.
+edges).  Every stop search runs as tasks of one chunk of starts (the package's
+one chunk size, 2^16) on the package's one task runner, in which the calling
+thread takes tasks too, and searches only the stops its chunk can reach.  The
+kernel expands at most about a chunk of pairs at a time, and the heralded
+estimator counts its orders inside each task and sums the counts, so any worker
+count gives bit-identical results.  Windows centred at zero delay, and their
+accidental floor, are counted in exact picoseconds by one stop search per
+analysis; peak-centred g2 reads the histogram it is given.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tasks import in_order
+from ._tasks import CHUNK, in_order
 from .tagstream import TagStream
 
-_CHUNK_STARTS = 1 << 18
-_CHUNK_PAIRS = 1 << 20  # pairs per kernel run, give or take one start's
+_CHUNK_STARTS = CHUNK
+_CHUNK_PAIRS = CHUNK  # pairs per kernel run, give or take one start's
 
 
 class AnalysisError(ValueError):
@@ -83,6 +86,12 @@ class CorrelationHistogram:
         return self.counts / acc
 
 
+def _reach(stops: np.ndarray, part: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The stops that some start of the sorted chunk ``part`` pairs with at a
+    delay in ``[lo, hi)``: a view, so each search covers only those."""
+    return stops[np.searchsorted(stops, part[0] + lo) : np.searchsorted(stops, part[-1] + hi)]
+
+
 def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np.ndarray:
     """Multi-stop counts of stop - start delays between consecutive sorted
     ``edges``, binned by division for a ``range`` and by search for an array.
@@ -95,8 +104,9 @@ def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np
 
     def work(at: int) -> None:
         part = starts[at : at + _CHUNK_STARTS]
-        # index range [lo, hi) of the stops in [start + edges[0], start + edges[-1])
-        lo, hi = (np.searchsorted(stops, part + edge) for edge in (edges[0], edges[-1]))
+        reach = _reach(stops, part, edges[0], edges[-1])
+        # index range [lo, hi) of the reach's stops in [start + edges[0], start + edges[-1])
+        lo, hi = (np.searchsorted(reach, part + edge) for edge in (edges[0], edges[-1]))
         mult = hi - lo
         cum = np.cumsum(mult)
         cuts = np.searchsorted(cum, np.arange(_CHUNK_PAIRS, cum[-1], _CHUNK_PAIRS), "right")
@@ -104,7 +114,7 @@ def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np
         for a, b in zip(runs, runs[1:]):
             # the chunk's pair k is stop lo + k - (pairs before its start) = k + hi - cum
             first = cum[a] - mult[a]
-            delays = stops[np.arange(first, cum[b - 1]) + np.repeat(hi[a:b] - cum[a:b], mult[a:b])]
+            delays = reach[np.arange(first, cum[b - 1]) + np.repeat(hi[a:b] - cum[a:b], mult[a:b])]
             delays -= np.repeat(part[a:b], mult[a:b])
             if isinstance(edges, range):
                 bins = (delays - edges.start) // edges.step
@@ -317,23 +327,28 @@ def heralded_autocorrelation(
         )
     w_lo, w_hi = _window_offsets(window)
     arms = [stream.channel_times(channel) for channel in (channel_a, channel_b)]
-
-    def fired(at: int) -> np.ndarray:
-        part = heralds[at : at + _CHUNK_STARTS]
-        # an arm fired for a herald when its first stop at or after herald + w_lo
-        # comes before herald + w_hi
-        rows = np.zeros((2, part.size), dtype=bool)
-        for row, stops in zip(rows, arms):
-            if stops.size:
-                first = np.searchsorted(stops, part + w_lo, side="left")
-                row[:] = (first < stops.size) & (stops.take(first, mode="clip") < part + w_hi)
-        return rows
-
-    a, b = np.concatenate(in_order(fired, range(0, heralds.size, _CHUNK_STARTS), workers), axis=1)
-    # H(n) counts the heralds k with a_k and b_(k+n); b gains n_max misses at either end
-    b = np.concatenate([np.zeros(n_max, bool), b, np.zeros(n_max, bool)])
     orders = np.arange(-n_max, n_max + 1, dtype=np.int64)
-    counts = np.array([np.count_nonzero(a & b[n_max + n : n_max + n + a.size]) for n in orders])
+
+    def fired(part: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        # an arm fired for a herald when its first stop at or after herald + w_lo
+        # comes before herald + w_hi; the stops past the reach come after it
+        reach = _reach(stops, part, w_lo, w_hi)
+        if not reach.size:
+            return np.zeros(part.size, dtype=bool)
+        first = np.searchsorted(reach, part + w_lo)
+        return (first < reach.size) & (reach.take(first, mode="clip") < part + w_hi)
+
+    def count(at: int) -> list[int]:
+        # H(n) over this chunk's heralds k with a_k and b_(k+n); b covers the
+        # chunk and n_max heralds on either side, and misses past the run's ends
+        end = min(at + _CHUNK_STARTS, heralds.size)
+        a = fired(heralds[at:end], arms[0])
+        lo, hi = max(at - n_max, 0), min(end + n_max, heralds.size)
+        b = np.zeros(end - at + 2 * n_max, dtype=bool)
+        b[lo - at + n_max : hi - at + n_max] = fired(heralds[lo:hi], arms[1])
+        return [np.count_nonzero(a & b[n_max + n : n_max + n + a.size]) for n in orders]
+
+    counts = np.sum(in_order(count, range(0, heralds.size, _CHUNK_STARTS), workers), axis=0)
     fasel = FaselHistogram(
         orders=orders,
         counts=counts,

@@ -128,7 +128,14 @@ def escape_from_heralding(
         raise ModelError("arm transmission must lie in (0, 1]", "eta_t")
     if not 0 <= uncorrelated_fraction < 1:
         raise ModelError("uncorrelated fraction must lie in [0, 1)", "uncorrelated_fraction")
-    return eta_h / (eta_t * (1.0 - uncorrelated_fraction))
+    correlated = eta_t * (1.0 - uncorrelated_fraction)
+    if eta_h > correlated:
+        raise ModelError(
+            f"heralding efficiency {eta_h} exceeds the arm transmission of the correlated "
+            f"heralds, {correlated:g}, so the escape efficiency would exceed 1",
+            "eta_h", "eta_t", "uncorrelated_fraction",
+        )
+    return eta_h / correlated
 
 
 def conditioned_from_unconditioned(g_ss: float, g_ii: float, g_si: float) -> float:

@@ -11,12 +11,12 @@ constructor, and the file reader reports its first violation as a
 :class:`MonotonicityError`.  Times lie in ``[0, 2^62)`` ps, the simulator's
 clock, so an analysis can add any delay below 2^62 ps without wrapping.  The
 merged constructor and the reader share one check-and-split, which takes
-slices of records as tasks on ``workers`` threads in two rounds: the first
-counts each slice's channels, the second takes the slice again and checks
-and places its times.  The reader reads each slice from the file in both
-rounds, so neither the file nor a merged column of all its records is ever
-held whole; any worker count gives the same arrays and the same first
-violation.
+slices of 2^16 records, the package's one chunk size, as tasks on ``workers``
+threads in two rounds: the first counts each slice's channels, the second
+takes the slice again and checks and places its times.  The reader reads each
+slice from the file in both rounds, so neither the file nor a merged column of
+all its records is ever held whole; any worker count gives the same arrays and
+the same first violation.
 
 Binary file layout (little-endian):
 
@@ -46,7 +46,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from ._tasks import in_order
+from ._tasks import CHUNK, in_order
 
 MAGIC = b"BPTT"
 FORMAT_VERSION = 1
@@ -66,7 +66,7 @@ DEFAULT_ROLES = {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
 
 # records per check-and-split task, which also reads its slice of a file, so
 # neither the raw file nor a temporary is ever held whole
-_CHUNK_RECORDS = 1 << 20
+_CHUNK_RECORDS = CHUNK
 # timestamps lie in [0, 2^62) ps, the simulator's clock, so an analysis can add
 # any delay below 2^62 ps to them without wrapping
 _CLOCK_PS = 1 << 62

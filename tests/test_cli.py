@@ -350,6 +350,9 @@ _OUT_OF_RANGE = [
     ("[cavity]\nheralding_efficiency = -0.5\n", "heralding_efficiency"),
     ("[cavity]\nheralding_transmission = 0\n", "heralding_transmission"),
     ("[cavity]\nuncorrelated_fraction = 1\n", "uncorrelated_fraction"),
+    # an escape efficiency above 1
+    ("[cavity]\nheralding_efficiency = 0.9\nheralding_transmission = 0.5\n",
+     "heralding_efficiency heralding_transmission uncorrelated_fraction"),
     ("[source]\ndetector_a_dark_hz = 1e300\n[run]\nduration_s = 0.5\n", "detector_a_dark_hz"),
     ("[source]\npump_mw = 1e300\n[run]\nduration_s = 0.5\n", _PAIR),
     ("[source]\ncreation_prob_per_mw = 1e300\n[run]\nduration_s = 0.5\n", _PAIR),

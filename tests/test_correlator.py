@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biphoton.correlator
@@ -473,10 +473,9 @@ def test_wide_floor_memory_stays_bounded_by_the_pair_cap():
     assert peak < 60_000_000
 
 
-@_PROPERTY
-@given(_soups(min_heralds=9), st.integers(1, 500), st.integers(1, 4))
-def test_heralded_orders_match_enumeration(soup, window, n_max):
-    heralds, signals, partners = soup
+def _check_heralded_orders(heralds, signals, partners, window, n_max):
+    """Every order's count equals the enumeration's, in chunks of 4 heralds,
+    so several chunks run on every worker count."""
     stream = _stream(heralds, signals, partners)
     heralds = sorted(heralds)
     a = [any(_in_window(t - h, window) for t in signals) for h in heralds]
@@ -485,7 +484,6 @@ def test_heralded_orders_match_enumeration(soup, window, n_max):
         sum(a[k] and b[k + n] for k in range(len(heralds)) if 0 <= k + n < len(heralds))
         for n in range(-n_max, n_max + 1)
     ]
-    # chunks of 4 heralds, so several chunks run on every worker count
     with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", 4):
         for workers in (1, 2, 4):
             if sum(expected) == expected[n_max]:
@@ -497,6 +495,50 @@ def test_heralded_orders_match_enumeration(soup, window, n_max):
             assert result.histogram.counts.tolist() == expected
             assert result.h0 == expected[n_max]
             assert result.h_other_mean == (sum(expected) - expected[n_max]) / (2 * n_max)
+
+
+@_PROPERTY
+@given(_soups(min_heralds=9), st.integers(1, 500), st.integers(1, 4))
+def test_heralded_orders_match_enumeration(soup, window, n_max):
+    _check_heralded_orders(*soup, window, n_max)
+
+
+@_PROPERTY
+@given(_soups(min_heralds=19), st.integers(1, 500), st.integers(5, 9))
+# signals near heralds 0-3 and partners near heralds 1-9 of 40, 100 ns apart:
+# the chunks from herald 12 on have no signal near them, and those from herald
+# 20 on no partner near their flagged heralds either
+@example(
+    ([100_000 * k for k in range(40)], [100_000 * k + 7 for k in range(4)],
+     [100_000 * k - 3 for k in range(1, 10)]),
+    20,
+    9,
+)
+def test_heralded_orders_match_enumeration_across_several_chunks(soup, window, n_max):
+    """Orders beyond the chunk of 4 heralds: a chunk's partner flags reach
+    into the chunks on either side, and stop at the run's ends."""
+    _check_heralded_orders(*soup, window, n_max)
+
+
+def test_heralded_memory_stays_within_a_few_chunks_per_worker():
+    """About 2 M heralds, each with a stop in either arm: the working set is
+    a few chunks' int64 temporaries per worker, not flags as long as the
+    herald list."""
+    rng = np.random.default_rng(23)
+    heralds = np.unique(rng.integers(0, 10**12, size=2_000_000))
+    stream = TagStream.from_channels({0: heralds + 5, 1: heralds + 11, 2: heralds})
+    chunk, workers = 1 << 15, 2
+    with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", chunk):
+        tracemalloc.start()
+        try:
+            result = heralded_autocorrelation(stream, 2, 0, 1, 100, 15, workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result.h0 == heralds.size
+    assert result.histogram.counts.tolist() == [heralds.size - abs(n) for n in range(-15, 16)]
+    # flags as long as the herald list, joined and padded, take 8 MB
+    assert peak <= workers * 6 * 8 * chunk, peak
 
 
 # --- CSV output ----------------------------------------------------------------

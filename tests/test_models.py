@@ -112,6 +112,13 @@ def test_escape_from_heralding():
         escape_from_heralding(0.28, 0.0)
     with pytest.raises(ModelError):
         escape_from_heralding(0.28, 0.71, 1.0)
+    # an escape efficiency above 1 names all three inputs
+    assert escape_from_heralding(0.45, 0.5, 0.1) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ModelError) as info:
+        escape_from_heralding(0.9, 0.5)
+    assert info.value.fields == ("eta_h", "eta_t", "uncorrelated_fraction")
+    with pytest.raises(ModelError):
+        escape_from_heralding(0.46, 0.5, 0.1)
 
 
 def test_conditioned_from_unconditioned_frozen():
