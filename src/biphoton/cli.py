@@ -401,6 +401,14 @@ def cmd_cavity(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
 
 def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     """full summary across all measurement arrangements"""
+    # idler autocorrelation: the user's config with the arms swapped, which
+    # the preset's pump may push past a check; built before anything runs
+    try:
+        cfg_ii = replace(cfg, **PRESETS["idler-autocorr"], seed=cfg.seed + 2)
+    except ConfigError as exc:
+        msg = f"report's idler-autocorr arrangement, with that preset's [source] values: {exc}"
+        raise ConfigError(msg, exc.keys) from None
+
     # cross-correlation acquisition (full signal arm on detector A)
     simulate = partial(simulate_source, workers=cfg.workers)
     si = xcorr(cfg, simulate(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed))
@@ -412,8 +420,6 @@ def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
     # a stream holds every channel's times, so it is dropped once analysed
     del stream_s
 
-    # idler autocorrelation: the user's config with the arms swapped
-    cfg_ii = replace(cfg, **PRESETS["idler-autocorr"], seed=cfg.seed + 2)
     stream_i = simulate(cfg_ii.make_source(), cfg_ii.duration_s, cfg_ii.seed)
     ii = autocorr(cfg_ii, stream_i)
 

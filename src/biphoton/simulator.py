@@ -374,5 +374,6 @@ def simulate_source(
         times = np.delete(times, repeats) if repeats.size else times
         return _apply_dead_time(times, int(round(detector.dead_time_s * _PS_PER_S)))
 
-    by_channel = dict(zip(channels, in_order(detect, channels, workers)))
-    return TagStream.from_channels(by_channel)
+    # detect sorts, cuts to the run and deduplicates, so each channel meets
+    # the stream's rules and the stream takes it without a copy or a check
+    return TagStream._owning(dict(zip(channels, in_order(detect, channels, workers))))

@@ -6,17 +6,18 @@ whole state.  Its channels are the ones it was built with, and their labels
 follow the channel numbers.  The merged (time, channel) order exists only
 where the file format needs it: ``write_tags`` builds it on demand.  Its
 ordering rule (non-decreasing times, simultaneous records in ascending channel
-order, so no duplicate ``(time, channel)`` record) is checked by every
-constructor, and the file reader reports its first violation as a
-:class:`MonotonicityError`.  Times lie in ``[0, 2^62)`` ps, the simulator's
-clock, so an analysis can add any delay below 2^62 ps without wrapping.  The
-merged constructor and the reader share one check-and-split, which takes
-slices of 2^16 records, the package's one chunk size, as tasks on ``workers``
-threads in two rounds: the first counts each slice's channels, the second
-takes the slice again and checks and places its times.  The reader reads each
-slice from the file in both rounds, so neither the file nor a merged column of
-all its records is ever held whole; any worker count gives the same arrays and
-the same first violation.
+order, so no duplicate ``(time, channel)`` record) is checked by the merged
+constructor and the file reader, and the reader reports its first violation
+as a :class:`MonotonicityError`.  The simulator makes its per-channel arrays
+to the same rules, and its stream takes them unchecked.  Times lie in
+``[0, 2^62)`` ps, the simulator's clock, so an analysis can add any delay
+below 2^62 ps without wrapping.  The merged constructor and the reader share
+one check-and-split, which takes slices of 2^16 records, the package's one
+chunk size, as tasks on ``workers`` threads in two rounds: the first counts
+each slice's channels, the second takes the slice again and checks and places
+its times.  The reader reads each slice from the file in both rounds, so
+neither the file nor a merged column of all its records is ever held whole;
+any worker count gives the same arrays and the same first violation.
 
 Binary file layout (little-endian):
 
@@ -197,11 +198,13 @@ def _check_split(
 
 class TagStream:
     """Immutable detector events, held as one sorted, read-only time array
-    per channel; built from merged records, or by :meth:`from_channels`.
+    per channel; built from merged records, which are checked as they are
+    split by channel.
 
     A stream's channels are the ones it was built with: those present in the
-    merged records, or every key given to :meth:`from_channels`.  Their labels
-    follow the channel numbers (``DEFAULT_ROLES``, else ``"ch<n>"``).
+    records, or, for a simulated stream, all three of the simulator's,
+    tagless ones included.  Their labels follow the channel numbers
+    (``DEFAULT_ROLES``, else ``"ch<n>"``).
 
     Parameters
     ----------
@@ -214,43 +217,31 @@ class TagStream:
 
     __slots__ = ("_by_channel", "_len", "_span_ps")
 
-    def __init__(self, times, channels) -> None:
+    def __new__(cls, times, channels) -> TagStream:
         times = np.ascontiguousarray(times, dtype=np.int64)
         channels = np.ascontiguousarray(channels, dtype=np.uint8)
         if times.ndim != 1 or channels.shape != times.shape:
             raise TagStreamError("times and channels must be 1-D arrays of equal length")
-        self._fill(_check_split(times.size, lambda part: (times[part], channels[part])))
+        return cls._owning(_check_split(times.size, lambda part: (times[part], channels[part])))
 
     @classmethod
-    def from_channels(cls, by_channel: dict[int, np.ndarray]) -> TagStream:
-        """Stream whose channels are the keys of ``by_channel``, tagless ones
-        included; each channel's times must lie in ``[0, 2^62)`` ps and be
-        strictly increasing."""
-        arrays = {}
-        for channel, times in by_channel.items():
-            times = np.array(times, dtype=np.int64)  # a copy: the stream freezes it
-            back = times[1:] <= times[:-1]
-            if back.any():
-                i = int(np.argmax(back)) + 1
-                raise TagStreamError(f"channel {channel}: times not increasing at index {i}", i)
-            if times.size and times[0] < 0:
-                raise TagStreamError(f"channel {channel}: negative timestamps are not allowed")
-            if times.size and times[-1] >= _CLOCK_PS:
-                raise TagStreamError(
-                    f"channel {channel}: timestamps of 2^62 ps or more are not allowed"
-                )
-            arrays[int(channel)] = times
-        stream = cls.__new__(cls)
-        stream._fill(arrays)
-        return stream
-
-    def _fill(self, by_channel: dict[int, np.ndarray]) -> None:
+    def _owning(cls, by_channel: dict[int, np.ndarray]) -> TagStream:
+        """Stream whose channels are the keys of ``by_channel``.  It takes the
+        int64 arrays without a copy and freezes them; each must already lie in
+        ``[0, 2^62)`` ps and be strictly increasing, which is not checked
+        here."""
         for times in by_channel.values():
             times.setflags(write=False)
-        self._by_channel = by_channel
+        stream = object.__new__(cls)
+        stream._by_channel = by_channel
         held = [t for t in by_channel.values() if t.size]
-        self._len = sum(t.size for t in held)
-        self._span_ps = int(max(t[-1] for t in held) - min(t[0] for t in held)) if held else 0
+        stream._len = sum(t.size for t in held)
+        stream._span_ps = int(max(t[-1] for t in held) - min(t[0] for t in held)) if held else 0
+        return stream
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through _owning, since __new__ takes records
+        return (type(self)._owning, (self._by_channel,))
 
     def __len__(self) -> int:
         return self._len
@@ -354,6 +345,4 @@ def _read_stream(fh: BinaryIO, workers: int) -> TagStream:
         raise FormatError(f"record {exc.index} has a timestamp above 2^{bound} - 1") from None
     except TagStreamError as exc:
         raise MonotonicityError(exc.index) from None
-    stream = TagStream.__new__(TagStream)
-    stream._fill(by_channel)
-    return stream
+    return TagStream._owning(by_channel)

@@ -405,6 +405,24 @@ def test_non_finite_or_clock_overflowing_value_exits_2(tmp_path, capsys, command
     assert key in err
 
 
+def test_report_checks_its_idler_arrangement_before_simulating(tmp_path, capsys, monkeypatch):
+    """The config passes at its own pump, but the idler-autocorr preset's
+    4.3 mW expects 2e12 idler tags in 1 s: report refuses before any run."""
+    body = (
+        "[source]\npump_mw = 1e-9\ncreation_prob_per_mw = 1e6\n"
+        "[sweep]\npowers_mw = 1e-9\n[run]\nduration_s = 1\n"
+    )
+    cfg = _write(tmp_path, "bad.cfg", body)
+    runs = []
+    monkeypatch.setattr(biphoton.cli, "simulate_source", lambda *args, **kw: runs.append(args))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: report's idler-autocorr arrangement, ")
+    assert "tags expected on detector_i" in err
+    assert err.count("\n") == 1
+    assert runs == []
+
+
 def test_missing_tags_file_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", LOSSLESS)
     rc = main(["xcorr", "--config", cfg, "--tags", str(tmp_path / "absent.bin"),

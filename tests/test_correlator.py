@@ -36,6 +36,16 @@ def _random_tag_soup(n, seed, horizon=200_000, n_channels=3):
     return TagStream(times[keep], channels[keep].astype(np.uint8))
 
 
+def _merged(by_channel):
+    """The stream of strictly increasing per-channel times, built from their
+    merged records."""
+    times = np.concatenate(list(by_channel.values()))
+    sizes = [t.size for t in by_channel.values()]
+    channels = np.repeat(np.array(list(by_channel), dtype=np.uint8), sizes)
+    order = np.lexsort((channels, times))
+    return TagStream(times[order], channels[order])
+
+
 def _brute_force(stream, start_ch, stop_ch, bin_width, tau_range):
     tau_min, tau_max = tau_range
     n_bins = (tau_max - tau_min) // bin_width
@@ -453,7 +463,7 @@ def test_wide_floor_memory_stays_bounded_by_the_pair_cap():
     rng = np.random.default_rng(18)
     heralds = np.unique(rng.integers(0, 10**12, size=2_500))
     stops = np.unique(rng.integers(0, 10**12, size=2_000_000))
-    stream = TagStream.from_channels({0: stops, 2: heralds})
+    stream = _merged({0: stops, 2: heralds})
     tracemalloc.start()
     try:
         points = window_sweep(stream, 2, 0, [400_000], 0.5, floor_region_ps=(10**6, 10**9))
@@ -526,7 +536,7 @@ def test_heralded_memory_stays_within_a_few_chunks_per_worker():
     herald list."""
     rng = np.random.default_rng(23)
     heralds = np.unique(rng.integers(0, 10**12, size=2_000_000))
-    stream = TagStream.from_channels({0: heralds + 5, 1: heralds + 11, 2: heralds})
+    stream = _merged({0: heralds + 5, 1: heralds + 11, 2: heralds})
     chunk, workers = 1 << 15, 2
     with mock.patch.object(biphoton.correlator, "_CHUNK_STARTS", chunk):
         tracemalloc.start()

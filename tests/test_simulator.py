@@ -116,7 +116,15 @@ def _per_channel(stream):
 
 
 def _same_on_any_worker_count(params, duration_s, seed):
+    """Each channel's times on 1 worker.  They must meet the stream's rules,
+    which the stream does not check for the simulator, and 2 and 4 workers
+    must give the same times."""
     serial = _per_channel(simulate_source(params, duration_s, seed, workers=1))
+    duration_ps = round(duration_s * 1e12)
+    for times in serial:
+        assert times.dtype == np.int64 and not times.flags.writeable
+        assert np.all(times[1:] > times[:-1])
+        assert times.size == 0 or (times[0] >= 0 and times[-1] < duration_ps)
     for workers in (2, 4):
         threaded = _per_channel(simulate_source(params, duration_s, seed, workers=workers))
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded)), workers
@@ -127,6 +135,18 @@ def _same_on_any_worker_count(params, duration_s, seed):
 @given(_SHORT_SOURCES, st.sampled_from([0.05, 0.2]), st.integers(0, 2**31))
 def test_streams_do_not_depend_on_the_worker_count(params, duration_s, seed):
     _same_on_any_worker_count(params, duration_s, seed)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SourceParams(creation_prob_per_mw=50.0), SourceParams(detector_a=DetectorSpec(0.5, 1e8))],
+    ids=["signal-delays-past-the-run-ends", "same-picosecond-darks"],
+)
+def test_one_millisecond_streams_meet_the_stream_rules(params):
+    """About 125 000 pairs in 1 ms delay signal tags past the run's ends,
+    which the cut must drop; 100 000 darks in 1 ms hold a few pairs in the
+    same picosecond, which the dedupe must merge."""
+    _same_on_any_worker_count(params, 1e-3, 21)
 
 
 def test_two_block_run_does_not_depend_on_the_worker_count():
@@ -255,6 +275,11 @@ def test_detected_pair_rate_tracks_creation_probability():
     stream = simulate_source(params, duration, seed=7)
     expect = params.central_pair_rate_hz * duration
     assert stream.count(1) == 0
+    # the tagless signal-B channel stays in the stream and in its file header
+    assert stream.channel_labels == {0: "signal-A", 1: "signal-B", 2: "idler"}
+    buf = io.BytesIO()
+    write_tags(stream, buf)
+    assert HEADER_STRUCT.unpack_from(buf.getvalue())[4] == 3
     for channel in (0, 2):
         assert abs(stream.count(channel) - expect) < 4.5 * np.sqrt(expect)
 

@@ -1,9 +1,11 @@
 """Round-trip and validation behavior of the time-tag container and its
 binary file format."""
 
+import copy
 import io
 import json
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -325,41 +327,19 @@ def test_constructor_rejects_negative_times():
         TagStream([-1, 5], [0, 0])
 
 
-@pytest.mark.parametrize(
-    "times, match",
-    [([-3, 5], "negative"), ([4, 4, 9], "index 1"), ([1, 8, 7], "index 2"), ([5, 2**62], "2\\^62")],
-    ids=["negative", "repeated", "decreasing", "past-the-clock"],
-)
-def test_from_channels_rejects_times_that_are_not_strictly_increasing(times, match):
-    with pytest.raises(TagStreamError, match=match):
-        TagStream.from_channels({0: [2, 6], 1: times})
-
-
-def test_from_channels_matches_the_merged_constructor():
-    merged = TagStream([5, 9, 9, 14, 20], [0, 2, 3, 0, 2])
-    stream = TagStream.from_channels({3: [9], 0: [5, 14], 2: [9, 20], 1: []})
-    assert _same_channels(stream, merged)
-    assert (len(stream), stream.span_ps) == (len(merged), merged.span_ps)
-    # channel 1, given with no tags, belongs to the stream and to its header
-    assert stream.channel_labels == {0: "signal-A", 1: "signal-B", 2: "idler", 3: "trigger"}
-    written, joined = _file_bytes(stream), _file_bytes(merged)
-    assert written[HEADER_STRUCT.size :] == joined[HEADER_STRUCT.size :]
-    assert HEADER_STRUCT.unpack_from(written)[4] == 4
-    assert HEADER_STRUCT.unpack_from(joined)[4] == 3
-    assert not stream.channel_times(0).flags.writeable
-
-
-def test_from_channels_copies_the_callers_arrays():
-    times = np.array([3, 8, 12], dtype=np.int64)
-    stream = TagStream.from_channels({0: times})
-    assert times.flags.writeable
-    times[:] = 0
-    assert list(stream.channel_times(0)) == [3, 8, 12]
-
-
 def test_constructor_accepts_tied_times_in_channel_order():
     stream = TagStream([10, 10, 10], [0, 1, 3])
     assert len(stream) == 3
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_keep_the_channels(clone):
+    stream = TagStream([5, 9, 9, 14], [0, 2, 3, 0])
+    back = clone(stream)
+    assert _same_channels(back, stream)
+    assert (len(back), back.span_ps) == (len(stream), stream.span_ps)
+    assert not back.channel_times(0).flags.writeable
 
 
 def test_from_tags_and_accessors():
