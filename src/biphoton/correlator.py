@@ -4,7 +4,7 @@ Everything operates on sorted :class:`~biphoton.tagstream.TagStream` data.
 Histograms are multi-stop: every (start, stop) pair whose delay falls in the
 requested range is counted, which is unbiased at high rates where classical
 start-stop counting saturates.  One kernel counts every pair (binary searches
-for each start's stop range, then one bincount over the bins between sorted
+for each start's stop range, then one count over the bins between sorted
 edges).  Every stop search runs as tasks of one chunk of starts (the package's
 one chunk size, 2^16) on the package's one task runner, in which the calling
 thread takes tasks too, and searches only the stops its chunk can reach.  The
@@ -120,9 +120,14 @@ def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np
                 bins = (delays - edges.start) // edges.step
             else:
                 bins = np.searchsorted(edges, delays, side="right") - 1
-            counts = np.bincount(bins, minlength=total.size)
-            with lock:
-                np.add(total, counts, out=total)
+            if bins.size < total.size:
+                # fewer pairs than bins: add them one by one, not a bins-long count
+                with lock:
+                    np.add.at(total, bins, 1)
+            else:
+                counts = np.bincount(bins, minlength=total.size)
+                with lock:
+                    np.add(total, counts, out=total)
 
     in_order(work, range(0, starts.size, _CHUNK_STARTS), workers)
     return total

@@ -213,11 +213,15 @@ def _pair_slots(rng: np.random.Generator, n_slots: int, mu: float) -> np.ndarray
     while True:
         expect = (n_slots - pos) * mu
         size = int(expect + 6.0 * math.sqrt(expect * (1.0 + mu) + 1.0)) + 16
-        idx = pos + np.cumsum(rng.geometric(mu / (1.0 + mu), size=size) - 1, dtype=np.int64)
-        inside = idx[idx < n_slots]
-        chunks.append(inside)
-        if inside.size < idx.size:
-            return np.concatenate(chunks)
+        idx = rng.geometric(mu / (1.0 + mu), size=size)
+        idx -= 1
+        np.cumsum(idx, out=idx)
+        idx += pos
+        inside = int(np.searchsorted(idx, n_slots))
+        # a copy frees the drawn chunk now; a view would hold it until the idler cut
+        chunks.append(idx[:inside].copy())
+        if inside < idx.size:
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         pos = int(idx[-1])
 
 
@@ -258,19 +262,25 @@ def _generate_photons(
             idler = idler[params.gate.open_mask(idler)]
         u = outcome_rng.random(idler.size)
         u *= q
-        outcome = np.searchsorted(edges, u, side="right").astype(np.uint8)
+        outcome = np.zeros(u.size, dtype=np.uint8)
+        for edge in edges:
+            outcome += u >= edge
         del u
+        # np.compress beats a mask on mixed masks but builds an 8-byte index per kept
+        # item, so the returned cuts that can keep nearly all (idler, signal-A) stay masks
         with_signal = outcome < 4
-        signal = idler[with_signal]
+        signal = np.compress(with_signal, idler)
         # outcomes 0 and 2 reach signal-A, the odd ones 1 and 3 signal-B
-        odd = (outcome[with_signal] & 1).view(bool)
+        odd = (np.compress(with_signal, outcome) & 1).view(bool)
         idler = idler[outcome >= 2]
         del outcome, with_signal
         n = signal.size
-        delay = (tau_fall_ps * delay_rng.standard_exponential(n)
-                 - tau_rise_ps * delay_rng.standard_exponential(n))
-        signal += np.rint(delay).astype(np.int64)
-        return {CHANNEL_IDLER: idler, CHANNEL_SIGNAL_A: signal[~odd], CHANNEL_SIGNAL_B: signal[odd]}
+        delay = delay_rng.standard_exponential(n)
+        delay *= tau_fall_ps
+        delay -= tau_rise_ps * delay_rng.standard_exponential(n)
+        signal += np.rint(delay, out=delay).astype(np.int64)
+        a, b = signal[~odd], np.compress(odd, signal)
+        return {CHANNEL_IDLER: idler, CHANNEL_SIGNAL_A: a, CHANNEL_SIGNAL_B: b}
 
     tasks = []
     w0 = params.mode_weights[0]

@@ -73,6 +73,18 @@ def test_histogram_matches_all_pairs_enumeration():
             assert np.array_equal(hist.counts, oracle)
 
 
+def test_sparse_histogram_matches_all_pairs_enumeration():
+    """Ten times sparser and in 1 ps bins, a run holds fewer pairs than bins,
+    so the kernel adds its pairs one by one instead of by a bincount."""
+    for trial in range(3):
+        stream = _random_tag_soup(2_000, seed=45 + trial, horizon=2_000_000)
+        for start_ch, stop_ch in ((0, 2), (2, 0), (1, 1)):
+            hist = cross_correlation_histogram(stream, start_ch, stop_ch, 1, (-3_500, 3_500))
+            oracle = _brute_force(stream, start_ch, stop_ch, 1, (-3_500, 3_500))
+            assert 0 < oracle.sum() < oracle.size
+            assert np.array_equal(hist.counts, oracle)
+
+
 def test_chunked_workers_are_bit_exact():
     stream = _random_tag_soup(600_000, seed=50, horizon=10**12, n_channels=2)
     serial = cross_correlation_histogram(stream, 0, 1, 5_000, (-2_000_000, 2_000_000))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -50,6 +51,12 @@ _FROZEN_STREAMS = [
      "871e120a1bb136da90fa2cf98b5aa1acd3fdf6eca50ddfe6fc95d49e21719227"),
     ("idler-autocorr", 11, 3.0, 0.0, 19710,
      "20d9736a0ae8b1363fbff761911a3e72f9b50dd6cfc6ff31e4965146c7ea352a"),
+    # 300 s of 250 ns slots is two blocks per mode; the idler run's block 0
+    # draws 1.68 M pairs, the largest draw of a 300 s report
+    ("signal-autocorr", 13, 300.0, 0.0, 1695264,
+     "63cc35343e77d10a84982a5c2c2f3a3970e33198eb5c6049db9de0b9a96adcf5"),
+    ("idler-autocorr", 17, 300.0, 0.0, 1991369,
+     "8a660e5dd6b778a5924a41a70e353e3f76e4d8f5f4ed31263646146b1e8d5518"),
 ]
 
 
@@ -81,6 +88,45 @@ def test_ungated_streams_are_frozen_on_two_workers(
     preset, seed, duration, dead_ns, n_tags, digest
 ):
     assert _frozen_stream(preset, seed, duration, dead_ns, workers=2) == (n_tags, digest)
+
+
+def test_a_long_draw_peaks_below_2_3_times_its_stream():
+    """The 300 s idler-autocorr run at 1 worker peaks in its 1.68 M-pair
+    task, which then holds the pair times, the outcome draws and two bytes a
+    pair: about 2.1 streams in all. An 8-byte outcome index would take it to 2.6."""
+    params = preset_config("idler-autocorr").make_source()
+    tracemalloc.start()
+    try:
+        stream = simulate_source(params, 300.0, 17, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(times.nbytes for times in _per_channel(stream))
+    assert peak < 2.3 * nbytes, f"peak {peak / nbytes:.2f} streams"
+
+
+class _Geometric:
+    """Forwards geometric draws to a seeded generator, cutting the first
+    chunk to a quarter of the size asked for if ``cut_first``."""
+
+    def __init__(self, seed, cut_first):
+        self.rng, self.cut_first, self.sizes = np.random.default_rng(seed), cut_first, []
+
+    def geometric(self, p, size):
+        if self.cut_first and not self.sizes:
+            size //= 4
+        self.sizes.append(size)
+        return self.rng.geometric(p, size=size)
+
+
+def test_pair_slots_continue_after_a_short_chunk():
+    """A first chunk that ends short of the block goes on from its last slot
+    with the generator's next draws, so it gives the one-chunk draw."""
+    one, cut = _Geometric(3, cut_first=False), _Geometric(3, cut_first=True)
+    whole = simulator._pair_slots(one, 2_000_000, 0.01)
+    assert len(one.sizes) == 1 and whole.size > 19_000
+    assert np.array_equal(simulator._pair_slots(cut, 2_000_000, 0.01), whole)
+    assert len(cut.sizes) > 1
 
 
 def _detector(efficiency):
