@@ -40,6 +40,7 @@ from .correlator import (
     FaselHistogram,
     G2Result,
     HeraldedG2,
+    WindowSweepPoint,
     coincidence_metrics,
     cross_correlation_histogram,
     heralded_autocorrelation,
@@ -189,6 +190,14 @@ def metrics(cfg: ExperimentConfig, stream: TagStream) -> CoincidenceMetrics:
     )
 
 
+def windows(cfg: ExperimentConfig, stream: TagStream, widths_ps) -> list[WindowSweepPoint]:
+    """Coincidences, heralding efficiency and g2 in zero-delay windows of each width."""
+    return window_sweep(
+        stream, cfg.herald_channel, cfg.signal_channel, widths_ps, cfg.detector_a_efficiency,
+        cfg.floor_region_ps, workers=cfg.workers,
+    )
+
+
 # -- subcommands: each returns its summary lines after the provenance -----------
 
 
@@ -258,6 +267,8 @@ def cmd_heralded(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
 
 def cmd_metrics(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
     """coincidence counts, heralding efficiency and rate budget"""
+    if cfg.pump_mw <= 0:
+        raise ModelError("pump_mw must be positive to give a coincidence slope", "pump_mw")
     met = metrics(cfg, stream)
     slope = met.coincidence_rate_hz / cfg.pump_mw
     bandwidth = biphoton_from_linewidths(
@@ -331,10 +342,7 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
             cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed,
             workers=cfg.workers,
         )
-        (x,) = window_sweep(
-            stream_x, cfg.herald_channel, cfg.signal_channel, [cfg.window_ps],
-            cfg.detector_a_efficiency, cfg.floor_region_ps, workers=cfg.workers,
-        )
+        (x,) = windows(cfg, stream_x, [cfg.window_ps])
         # a stream holds every channel's times, so it is dropped once analysed
         del stream_x
         # heralded arrangement: signal arm split 50/50
@@ -356,15 +364,7 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
 
 def cmd_sweep_window(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
     """coincidence rate, efficiency and g2 versus window width"""
-    points = window_sweep(
-        stream,
-        cfg.herald_channel,
-        cfg.signal_channel,
-        cfg.windows_ps,
-        eta_det_s=cfg.detector_a_efficiency,
-        floor_region_ps=cfg.floor_region_ps,
-        workers=cfg.workers,
-    )
+    points = windows(cfg, stream, cfg.windows_ps)
     rows = [
         (p.window_ps / 1000, p.coincidence_count, p.coincidence_rate_hz, p.heralding_efficiency,
          p.g2 / cfg.g2_divisor, p.g2_uncertainty / cfg.g2_divisor)

@@ -11,8 +11,8 @@ thread takes tasks too, and searches only the stops its chunk can reach.  The
 kernel expands at most about a chunk of pairs at a time, and the heralded
 estimator counts its orders inside each task and sums the counts, so any worker
 count gives bit-identical results.  Windows centred at zero delay, and their
-accidental floor, are counted in exact picoseconds by one stop search per
-analysis; peak-centred g2 reads the histogram it is given.
+accidental floor, are counted in exact picoseconds by one checked count, one
+stop search per analysis; peak-centred g2 reads the histogram it is given.
 """
 
 from __future__ import annotations
@@ -142,15 +142,26 @@ def _window_offsets(window: int) -> tuple[int, int]:
 
 
 def _range_counts(
-    heralds: np.ndarray, signals: np.ndarray, bounds: list[tuple[int, int]], workers: int
-) -> list[int]:
-    """Herald-signal pairs with delay in each ``[lo, hi)`` of ``bounds``, read
-    by prefix sums from one kernel histogram whose bins lie between the
-    distinct edges, so its size grows with the number of edges, not the span."""
+    stream: TagStream, herald_channel: int, signal_channel: int, bounds: list[tuple[int, int]],
+    eta_det_s: float, workers: int,
+) -> tuple[int, int, float, list[int]]:
+    """Herald and signal counts, span in seconds and herald-signal pairs with
+    delay in each ``[lo, hi)`` of ``bounds``, after the checks every zero-delay
+    window analysis shares; the pairs come by prefix sums from one histogram
+    whose bins lie between the distinct edges, not across the span."""
+    if not 0.0 < eta_det_s <= 1.0:
+        raise AnalysisError("signal detector efficiency must lie in (0, 1]")
+    heralds = stream.channel_times(herald_channel)
+    signals = stream.channel_times(signal_channel)
+    if heralds.size == 0:
+        raise AnalysisError(f"no tags on herald channel {herald_channel}")
+    duration_s = stream.span_ps * 1e-12
+    if duration_s <= 0:
+        raise AnalysisError("stream spans no time")
     edges = np.unique(bounds)
     cum = np.concatenate(([0], np.cumsum(_histogram(heralds, signals, edges, workers))))
     lo, hi = np.searchsorted(edges, bounds).T
-    return (cum[hi] - cum[lo]).tolist()
+    return heralds.size, signals.size, duration_s, (cum[hi] - cum[lo]).tolist()
 
 
 def cross_correlation_histogram(
@@ -246,8 +257,7 @@ def normalized_g2(
     ``floor_region_ps``.  Uncertainty assumes Poisson counts in both regions.
     """
     window = int(window_ps)
-    if window <= 0:
-        raise AnalysisError("window must be positive")
+    _window_offsets(window)  # raises unless the window is positive
     centers = hist.bin_centers_ps
     if center_ps is None:
         center = int(centers[int(np.argmax(hist.counts))])
@@ -412,25 +422,19 @@ def coincidence_metrics(
     The accidental-corrected variant subtracts the stationary expectation
     herald_rate * signal_rate * window before normalizing.
     """
-    if not 0.0 < eta_det_s <= 1.0:
-        raise AnalysisError("signal detector efficiency must lie in (0, 1]")
-    heralds = stream.channel_times(herald_channel)
-    signals = stream.channel_times(signal_channel)
-    if heralds.size == 0:
-        raise AnalysisError(f"no tags on herald channel {herald_channel}")
-    duration_s = stream.span_ps * 1e-12
-    if duration_s <= 0:
-        raise AnalysisError("stream spans no time")
-    (coinc,) = _range_counts(heralds, signals, [_window_offsets(int(window_ps))], workers)
-    herald_rate = heralds.size / duration_s
-    signal_rate = signals.size / duration_s
-    accidentals = heralds.size * signal_rate * (int(window_ps) * 1e-12)
-    p_si = coinc / heralds.size
-    p_si_corr = max(coinc - accidentals, 0.0) / heralds.size
+    window = int(window_ps)
+    n_heralds, n_signals, duration_s, (coinc,) = _range_counts(
+        stream, herald_channel, signal_channel, [_window_offsets(window)], eta_det_s, workers
+    )
+    herald_rate = n_heralds / duration_s
+    signal_rate = n_signals / duration_s
+    accidentals = n_heralds * signal_rate * (window * 1e-12)
+    p_si = coinc / n_heralds
+    p_si_corr = max(coinc - accidentals, 0.0) / n_heralds
     return CoincidenceMetrics(
         duration_s=duration_s,
-        herald_count=int(heralds.size),
-        signal_count=int(signals.size),
+        herald_count=n_heralds,
+        signal_count=n_signals,
         herald_rate_hz=herald_rate,
         signal_rate_hz=signal_rate,
         coincidence_count=coinc,
@@ -438,7 +442,7 @@ def coincidence_metrics(
         accidental_rate_hz=accidentals / duration_s,
         heralding_efficiency=p_si / eta_det_s,
         heralding_efficiency_corrected=p_si_corr / eta_det_s,
-        window_ps=int(window_ps),
+        window_ps=window,
     )
 
 
@@ -471,18 +475,13 @@ def window_sweep(
     if sorted(windows) != windows:
         raise AnalysisError("window widths must be ascending")
     f_lo, f_hi = _floor_region(windows[-1], floor_region_ps)
-    heralds = stream.channel_times(herald_channel)
-    if heralds.size == 0:
-        raise AnalysisError(f"no tags on herald channel {herald_channel}")
     bounds = [_window_offsets(w) for w in windows] + [(-f_hi, -f_lo), (f_lo, f_hi)]
-    *coincidences, below, above = _range_counts(
-        heralds, stream.channel_times(signal_channel), bounds, workers
+    n_heralds, _, duration_s, (*coincidences, below, above) = _range_counts(
+        stream, herald_channel, signal_channel, bounds, eta_det_s, workers
     )
-    # g2 first: it raises unless a floor pair exists, and a floor pair makes span_ps > 0
     floor = (below + above, 2 * (f_hi - f_lo))
     g2s = [_g2_ratio(coinc, window, *floor) for window, coinc in zip(windows, coincidences)]
-    duration_s = stream.span_ps * 1e-12
     return [
-        WindowSweepPoint(window, coinc, coinc / duration_s, coinc / heralds.size / eta_det_s, *g2)
+        WindowSweepPoint(window, coinc, coinc / duration_s, coinc / n_heralds / eta_det_s, *g2)
         for window, coinc, g2 in zip(windows, coincidences, g2s)
     ]

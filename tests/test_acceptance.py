@@ -565,31 +565,38 @@ def test_criterion_9_throughput():
         cross_correlation_histogram(TagStream(times, channels), 0, 1, 5_000,
                                     (-5_000_000, 5_000_000), workers=4)
     # a stream splits its channels when built, so each timed call builds a
-    # stream of its own over the same arrays and pays for its own selection
-    start = time.perf_counter()
-    serial = TagStream(times, channels)
-    h1 = cross_correlation_histogram(serial, 0, 1, 5_000, (-5_000_000, 5_000_000),
-                                     workers=1)
-    t1 = time.perf_counter() - start
-    start, cpu_start = time.perf_counter(), time.process_time()
-    threaded = TagStream(times, channels)
-    h4 = cross_correlation_histogram(threaded, 0, 1, 5_000, (-5_000_000, 5_000_000),
-                                     workers=4)
-    t4 = time.perf_counter() - start
-    # process CPU time over wall time: about 1 when only one core ran the threads
-    cpu_per_wall4 = (time.process_time() - cpu_start) / t4
+    # stream of its own over the same arrays and pays for its own selection;
+    # the host's second core joins some calls late, so three alternating pairs
+    # are timed and their median ratio judged
+    t1s, t4s, cpu_per_wall4, exact = [], [], [], True
+    for _ in range(3):
+        start = time.perf_counter()
+        serial = TagStream(times, channels)
+        h1 = cross_correlation_histogram(serial, 0, 1, 5_000, (-5_000_000, 5_000_000),
+                                         workers=1)
+        t1s.append(time.perf_counter() - start)
+        start, cpu_start = time.perf_counter(), time.process_time()
+        threaded = TagStream(times, channels)
+        h4 = cross_correlation_histogram(threaded, 0, 1, 5_000, (-5_000_000, 5_000_000),
+                                         workers=4)
+        t4s.append(time.perf_counter() - start)
+        # process CPU time over wall time: about 1 when only one core ran the threads
+        cpu_per_wall4.append((time.process_time() - cpu_start) / t4s[-1])
+        exact = exact and bool(np.array_equal(h1.counts, h4.counts))
 
     # the histogram kernel runs inside numpy with the interpreter lock
     # released, so threads buy real parallelism when cores exist; demand 60%
     # parallel efficiency up to 4 workers, which on a single-core host
     # reduces to "threads must not cost more than they save"
-    speedup = t1 / t4
+    ratios = [t1 / t4 for t1, t4 in zip(t1s, t4s)]
+    speedup = float(np.median(ratios))
+    t1 = float(np.median(t1s))
     needed = 0.6 * min(4, os.cpu_count() or 1)
+    pairs = ", ".join(f"{r:.2f}x at CPU/wall {c:.2f}" for r, c in zip(ratios, cpu_per_wall4))
     _gate(9, "throughput", [
-        (f"1e7 tags histogrammed in {t1:.2f} s single-threaded (< 5 s)", t1 < 5.0),
-        ("worker results bit-exact", bool(np.array_equal(h1.counts, h4.counts))),
+        (f"1e7 tags histogrammed in a median {t1:.2f} s single-threaded (< 5 s)", t1 < 5.0),
+        ("worker results bit-exact", exact),
         ("pair count pinned", int(h1.counts.sum()) == 5_001_210),
-        (f"speedup {speedup:.2f}x with 4 workers (>= {needed:.2f}; "
-         f"CPU/wall {cpu_per_wall4:.2f})",
+        (f"median speedup {speedup:.2f}x with 4 workers (>= {needed:.2f}; pairs {pairs})",
          speedup >= needed),
     ])

@@ -423,6 +423,31 @@ def test_report_checks_its_idler_arrangement_before_simulating(tmp_path, capsys,
     assert runs == []
 
 
+_NO_DETECTOR_A = """\
+[source]
+detector_a_efficiency = 0
+detector_a_dark_hz = 100000
+[run]
+duration_s = 1.0
+[sweep]
+powers_mw = 1.0
+point_duration_s = 0.5
+"""
+
+
+@pytest.mark.parametrize("command,body,message", [
+    ("metrics", _NO_DETECTOR_A, "signal detector efficiency must lie in (0, 1]"),
+    ("sweep-window", _NO_DETECTOR_A, "signal detector efficiency must lie in (0, 1]"),
+    ("sweep-power", _NO_DETECTOR_A, "signal detector efficiency must lie in (0, 1]"),
+    ("metrics", "[source]\npump_mw = 0\n[run]\nduration_s = 1.0\n",
+     "pump_mw must be positive to give a coincidence slope"),
+], ids=["metrics-eta-0", "sweep-window-eta-0", "sweep-power-eta-0", "metrics-pump-0"])
+def test_zero_efficiency_or_pump_exits_3_with_one_line(tmp_path, capsys, command, body, message):
+    cfg = _write(tmp_path, "zero.cfg", body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"analysis error: {message}\n"
+
+
 def test_missing_tags_file_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", LOSSLESS)
     rc = main(["xcorr", "--config", cfg, "--tags", str(tmp_path / "absent.bin"),

@@ -353,6 +353,22 @@ def test_window_sweep_rejects_bad_windows():
         window_sweep(stream, 2, 0, [100, 2_000_002], 0.5)
 
 
+@pytest.mark.parametrize("analysis", [
+    lambda stream, eta: coincidence_metrics(stream, 2, 0, 100, eta),
+    lambda stream, eta: window_sweep(stream, 2, 0, [100], eta),
+], ids=["coincidence_metrics", "window_sweep"])
+@pytest.mark.parametrize("stream,eta,message", [
+    (_triple_stream(10, range(10), []), 0.0, "signal detector efficiency must lie in (0, 1]"),
+    (_triple_stream(10, range(10), []), 1.5, "signal detector efficiency must lie in (0, 1]"),
+    (TagStream([10, 20], [0, 0]), 0.5, "no tags on herald channel 2"),
+    (TagStream([10, 10], [0, 2]), 0.5, "stream spans no time"),
+], ids=["eta-0", "eta-1.5", "no-heralds", "zero-span"])
+def test_zero_delay_analyses_share_their_checks(analysis, stream, eta, message):
+    with pytest.raises(AnalysisError) as info:
+        analysis(stream, eta)
+    assert str(info.value) == message
+
+
 # --- pair counts against brute-force enumeration ---------------------------------
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
