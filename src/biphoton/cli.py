@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -78,27 +77,14 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _umask() -> int:
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
-# the mode a plain open() would give; mkstemp creates files private to the user
-_FILE_MODE = 0o666 & ~_umask()
-
-
 def _write_atomic(path: str, write: Callable[[str], object]) -> None:
-    """Run ``write(tmp)`` on a unique temporary file beside ``path``, then move
-    it into place. On any failure the temporary file is removed and ``path``
-    is left as it was."""
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    os.close(fd)
+    """Run ``write(tmp)`` on a new temporary file beside ``path``, made as open()
+    makes it, then move it into place. On any failure the temporary file is
+    removed and ``path`` is left as it was."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write(tmp)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -148,30 +134,33 @@ class Peak(NamedTuple):
     zero_err: float
 
 
-def xcorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
-    """Herald-signal cross-correlation: histogram, two-sided peak fit,
-    windowed g2 and the fitted zero-delay value."""
+def _peak(
+    cfg: ExperimentConfig,
+    stream: TagStream,
+    start: int,
+    stop: int,
+    fit_peak: Callable[[CorrelationHistogram], FitResult],
+    fallback: int | None,
+) -> Peak:
+    """Histogram of ``stop`` after ``start`` delays, its ``fit_peak`` fit and the g2 in
+    the window on the fitted delay, or on ``fallback`` (None: the argmax) unconverged."""
     hist = cross_correlation_histogram(
-        stream, cfg.herald_channel, cfg.signal_channel, cfg.bin_ps, cfg.tau_range_ps,
-        workers=cfg.workers,
+        stream, start, stop, cfg.bin_ps, cfg.tau_range_ps, workers=cfg.workers
     )
-    fit = fit_double_exponential(hist)
-    center = int(round(fit.param("tau0_s") * 1e12)) if fit.converged else None
+    fit = fit_peak(hist)
+    center = int(round(fit.param("tau0_s") * 1e12)) if fit.converged else fallback
     g2 = normalized_g2(hist, cfg.window_ps, center_ps=center, floor_region_ps=cfg.floor_region_ps)
     return Peak(hist, fit, g2, fit.g2_zero(), fit.g2_zero_err())
+
+
+def xcorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
+    """Herald-signal cross-correlation with a two-sided peak fit."""
+    return _peak(cfg, stream, cfg.herald_channel, cfg.signal_channel, fit_double_exponential, None)
 
 
 def autocorr(cfg: ExperimentConfig, stream: TagStream) -> Peak:
-    """Signal-partner autocorrelation across the splitter: histogram,
-    symmetric peak fit, windowed g2 and the fitted zero-delay value."""
-    hist = cross_correlation_histogram(
-        stream, cfg.signal_channel, cfg.partner_channel, cfg.bin_ps, cfg.tau_range_ps,
-        workers=cfg.workers,
-    )
-    fit = fit_symmetric_exponential(hist)
-    center = int(round(fit.param("tau0_s") * 1e12)) if fit.converged else 0
-    g2 = normalized_g2(hist, cfg.window_ps, center_ps=center, floor_region_ps=cfg.floor_region_ps)
-    return Peak(hist, fit, g2, fit.g2_zero(), fit.g2_zero_err())
+    """Signal-partner autocorrelation across the splitter with a symmetric peak fit."""
+    return _peak(cfg, stream, cfg.signal_channel, cfg.partner_channel, fit_symmetric_exponential, 0)
 
 
 def heralded(cfg: ExperimentConfig, stream: TagStream) -> HeraldedG2:
@@ -198,6 +187,11 @@ def windows(cfg: ExperimentConfig, stream: TagStream, widths_ps) -> list[WindowS
     )
 
 
+def _acquire(cfg: ExperimentConfig, seed: int, duration_s: float, **source: object) -> TagStream:
+    """Simulate the config's source, with ``source`` overriding its parameters."""
+    return simulate_source(cfg.make_source(**source), duration_s, seed, workers=cfg.workers)
+
+
 # -- subcommands: each returns its summary lines after the provenance -----------
 
 
@@ -220,7 +214,9 @@ def _g2_lines(peak: Peak, window_key: str, zero_key: str) -> Lines:
     ]
 
 
-def _peak_lines(cfg: ExperimentConfig, stream: TagStream, peak: Peak, path: str) -> Lines:
+def _save_peak(cfg: ExperimentConfig, stream: TagStream, save: Save, csv: str, peak: Peak) -> Lines:
+    """Save the peak's histogram as ``csv``; the summary lines of its fit and g2."""
+    path = save(csv, partial(write_histogram_csv, peak.hist))
     fit = peak.fit
     lines: Lines = [
         ("tags", len(stream)),
@@ -237,16 +233,12 @@ def _peak_lines(cfg: ExperimentConfig, stream: TagStream, peak: Peak, path: str)
 
 def cmd_xcorr(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
     """signal-idler cross-correlation histogram, peak fit and g2"""
-    peak = xcorr(cfg, stream)
-    path = save("cross_correlation.csv", partial(write_histogram_csv, peak.hist))
-    return _peak_lines(cfg, stream, peak, path)
+    return _save_peak(cfg, stream, save, "cross_correlation.csv", xcorr(cfg, stream))
 
 
 def cmd_autocorr(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
     """splitter autocorrelation histogram, fit and windowed g2"""
-    peak = autocorr(cfg, stream)
-    path = save("auto_correlation.csv", partial(write_histogram_csv, peak.hist))
-    return _peak_lines(cfg, stream, peak, path)
+    return _save_peak(cfg, stream, save, "auto_correlation.csv", autocorr(cfg, stream))
 
 
 def cmd_heralded(cfg: ExperimentConfig, stream: TagStream, save: Save) -> Lines:
@@ -338,18 +330,14 @@ def cmd_sweep_power(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         seed = cfg.seed * 10007 + 2 * index
         # coincidence arrangement: the full signal arm on detector A; its count
         # and g2 come from the zero-delay window and the floor, without a fit
-        stream_x = simulate_source(
-            cfg.make_source(pump_mw=pump, splitter_ratio=1.0), cfg.point_duration_s, seed,
-            workers=cfg.workers,
-        )
+        stream_x = _acquire(cfg, seed, cfg.point_duration_s, pump_mw=pump, splitter_ratio=1.0)
         (x,) = windows(cfg, stream_x, [cfg.window_ps])
         # a stream holds every channel's times, so it is dropped once analysed
         del stream_x
         # heralded arrangement: signal arm split 50/50
-        iss = heralded(cfg, simulate_source(
-            cfg.make_source(pump_mw=pump, splitter_ratio=0.5), cfg.point_duration_s, seed + 1,
-            workers=cfg.workers,
-        ))
+        iss = heralded(
+            cfg, _acquire(cfg, seed + 1, cfg.point_duration_s, pump_mw=pump, splitter_ratio=0.5)
+        )
         rows.append((
             pump, x.coincidence_count, x.coincidence_rate_hz, x.heralding_efficiency,
             x.g2, x.g2_uncertainty, _model_g2_si(cfg, pump), iss.value, iss.uncertainty,
@@ -410,18 +398,16 @@ def cmd_report(cfg: ExperimentConfig, stream: None, save: Save) -> Lines:
         raise ConfigError(msg, exc.keys) from None
 
     # cross-correlation acquisition (full signal arm on detector A)
-    simulate = partial(simulate_source, workers=cfg.workers)
-    si = xcorr(cfg, simulate(cfg.make_source(splitter_ratio=1.0), cfg.duration_s, cfg.seed))
+    si = xcorr(cfg, _acquire(cfg, cfg.seed, cfg.duration_s, splitter_ratio=1.0))
 
     # signal autocorrelation + heralded acquisition (signal arm split 50/50)
-    stream_s = simulate(cfg.make_source(splitter_ratio=0.5), cfg.duration_s, cfg.seed + 1)
+    stream_s = _acquire(cfg, cfg.seed + 1, cfg.duration_s, splitter_ratio=0.5)
     ss = autocorr(cfg, stream_s)
     iss = heralded(cfg, stream_s)
     # a stream holds every channel's times, so it is dropped once analysed
     del stream_s
 
-    stream_i = simulate(cfg_ii.make_source(), cfg_ii.duration_s, cfg_ii.seed)
-    ii = autocorr(cfg_ii, stream_i)
+    ii = autocorr(cfg_ii, _acquire(cfg_ii, cfg_ii.seed, cfg_ii.duration_s))
 
     r_window = cauchy_schwarz(
         si.g2.value, ss.g2.value, ii.g2.value,
@@ -492,7 +478,7 @@ def _run(command: _Command, cfg: ExperimentConfig, args: argparse.Namespace) -> 
             stream = read_tags(args.tags, cfg.workers)
             duration_s = stream.span_ps * 1e-12
         else:
-            stream = simulate_source(cfg.make_source(), cfg.duration_s, cfg.seed, cfg.workers)
+            stream = _acquire(cfg, cfg.seed, cfg.duration_s)
             duration_s = cfg.duration_s
         lines.append(("duration_s", duration_s))
     lines += command.run(cfg, stream, save)

@@ -96,6 +96,9 @@ def _bad_value(keys: tuple[str, ...], why: object) -> ConfigError:
 # tags a run may expect on one detector: far above the 1e8 of the longest
 # acquisitions, far below what overflows a draw
 _MAX_EXPECTED_TAGS = 1e12
+# histogram bins an analysis may ask for: far above the default 2200, far
+# below a histogram that fills the memory
+_MAX_BINS = 2**24
 # the keys besides the pump that scale the pair rate
 _PAIR_KEYS = ("creation_prob_per_mw", "reference_window_ns", "mode_weights")
 
@@ -199,6 +202,10 @@ class ExperimentConfig:
             )
         if self.bin_ps <= 0 or 2 * self.tau_range_ps[1] % self.bin_ps:
             raise ConfigError("bin_ns must divide 2 * tau_range_ns", ("bin_ns", "tau_range_ns"))
+        n_bins = 2 * self.tau_range_ps[1] // self.bin_ps
+        if n_bins > _MAX_BINS:
+            msg = f"2 * tau_range_ns / bin_ns gives {n_bins} histogram bins, above {_MAX_BINS}"
+            raise ConfigError(msg, ("bin_ns", "tau_range_ns"))
         if not 0 < self.floor_region_ps[0] < self.floor_region_ps[1]:
             raise ConfigError(
                 "floor region must satisfy 0 < min < max", ("floor_min_ns", "floor_max_ns")
@@ -455,7 +462,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 

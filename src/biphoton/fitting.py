@@ -185,13 +185,20 @@ def _solve(
 ) -> FitResult:
     fn = _MODELS[model]
 
-    def kink_weights(p: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(tau - p[_TAU0_INDEX]) < 0.5 * bin_s, 0.5, 1.0)
+    def state(p: np.ndarray):
+        """``p`` with the model, Jacobian, kink weights and deviance there;
+        None where a positive parameter or the model is not positive."""
+        if any(p[k] <= 0 for k in _POSITIVE):
+            return None
+        f, jac = fn(p, tau)
+        if not np.all(f > 0):
+            return None
+        kink = np.where(np.abs(tau - p[_TAU0_INDEX]) < 0.5 * bin_s, 0.5, 1.0)
+        return p, f, jac, kink, _deviance(counts, f, kink)
 
     lam = 1e-3
-    f, jac = fn(params, tau)
-    kink = kink_weights(params)
-    cost = _deviance(counts, f, kink)
+    # both fits start from positive parameters and a positive model
+    params, f, jac, kink, cost = state(params)
     converged = False
     iteration = 0
     for iteration in range(1, _MAX_ITER + 1):
@@ -201,33 +208,23 @@ def _solve(
         grad = jtw @ (counts - f)
         diag = np.diag(hess).copy()
         diag[diag <= 0] = 1.0
-        accepted = False
         for _ in range(25):
             try:
                 step = np.linalg.solve(hess + lam * np.diag(diag), grad)
+                trial = state(params + step)
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + step
-            if any(trial[k] <= 0 for k in _POSITIVE):
-                lam *= 10.0
-                continue
-            f_t, jac_t = fn(trial, tau)
-            if not np.all(f_t > 0):
-                lam *= 10.0
-                continue
-            kink_t = kink_weights(trial)
-            cost_t = _deviance(counts, f_t, kink_t)
-            if cost_t <= cost:
-                rel = float(np.max(np.abs(step) / (np.abs(params) + 1e-300)))
-                params, f, jac, kink, cost = trial, f_t, jac_t, kink_t, cost_t
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                if rel < 1e-8:
-                    converged = True
+                trial = None
+            if trial is not None and trial[-1] <= cost:
                 break
+            # singular, out of bounds or a higher deviance: damp harder, solve again
             lam *= 10.0
-        if converged or not accepted:
+        else:
+            break  # no damping gave an accepted step
+        rel = float(np.max(np.abs(step) / (np.abs(params) + 1e-300)))
+        params, f, jac, kink, cost = trial
+        lam = max(lam / 3.0, 1e-14)
+        converged = rel < 1e-8
+        if converged:
             break
     hess = (jac.T * (kink / f)) @ jac
     try:

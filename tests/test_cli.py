@@ -5,6 +5,8 @@ import csv
 import hashlib
 import inspect
 import io
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +407,35 @@ def test_non_finite_or_clock_overflowing_value_exits_2(tmp_path, capsys, command
     assert key in err
 
 
+@pytest.mark.parametrize("body", [
+    "[source]\ngate_darks = maybe\n",
+    "[sweep]\npowers_mw =\n",
+    "[sweep]\npoint_duration_s = 0\n",
+    "[run]\nseed = -1\n",
+    "[analysis]\nbin_ns = -5\n",
+    "[sweep]\ng2_divisor = 0\n",
+    "[analysis]\nherald_channel = 256\n",
+    "[sweep]\npowers_mw = 1, -2\n",
+    "[analysis]\nn_max = 0\n",
+    "[run]\npreset = nope\n",
+])
+def test_rejected_value_exits_2_naming_its_line(tmp_path, capsys, body):
+    cfg = _write(tmp_path, "bad.cfg", body)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 2: ")
+    assert err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[run]\nseed = 3\xff\n")
+    assert main(["xcorr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {cfg}: ")
+    assert err.count("\n") == 1
+
+
 def test_report_checks_its_idler_arrangement_before_simulating(tmp_path, capsys, monkeypatch):
     """The config passes at its own pump, but the idler-autocorr preset's
     4.3 mW expects 2e12 idler tags in 1 s: report refuses before any run."""
@@ -529,6 +560,23 @@ def test_failed_write_leaves_no_partial_file(tmp_path, lossless_tags, monkeypatc
     out = tmp_path / "x"
     assert main(["xcorr", "--config", cfg, "--tags", tags, "--out", str(out)]) == 3
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o077, 0o600), (0o027, 0o640)], ids=["077", "027"])
+@pytest.mark.parametrize("command", ["simulate", "cavity"])
+def test_artifacts_take_the_umask_in_force_when_written(tmp_path, command, umask, mode):
+    """Each artifact gets the mode a plain open() gives under the umask set
+    after the module was imported."""
+    cfg = _write(tmp_path, "run.cfg", "[run]\nduration_s = 0.5\n")
+    out = tmp_path / "o"
+    old = os.umask(umask)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert modes and set(modes.values()) == {mode}, modes
 
 
 def test_benchmark_hooks_find_every_cli_name(tmp_path, lossless_tags, monkeypatch):

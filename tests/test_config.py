@@ -230,6 +230,17 @@ def test_value_errors_carry_line_numbers(text, lineno, keys):
     assert info.value.keys == keys
 
 
+def test_histogram_bin_count_is_bounded():
+    """2^24 bins pass; one more bin pair, or a 1 ps bin over +-100 ms, is
+    refused when the config is parsed, before any histogram is built."""
+    assert parse_config("[analysis]\nbin_ns = 0.001\ntau_range_ns = 8388.608\n")
+    for tau_range in ("8388.609", "100000000"):
+        text = f"[analysis]\nbin_ns = 0.001\ntau_range_ns = {tau_range}\n"
+        with pytest.raises(ConfigError, match="^line 3: .* histogram bins") as info:
+            parse_config(text)
+        assert info.value.keys == ("bin_ns", "tau_range_ns")
+
+
 def test_config_text_roundtrips_every_preset():
     for name in PRESET_NAMES:
         cfg = preset_config(name)
@@ -254,3 +265,10 @@ def test_load_config_reads_files_and_reports_missing_ones(tmp_path):
     assert load_config(path).pump_mw == 3.0
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_load_config_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"[source]\npump_mw = 3.0\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config .*can't decode byte 0xff"):
+        load_config(path)

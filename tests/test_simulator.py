@@ -60,12 +60,14 @@ _FROZEN_STREAMS = [
 ]
 
 
-def _frozen_stream(preset, seed, duration, dead_ns, workers):
+def _frozen_stream(preset, seed, duration, dead_ns, workers, **overrides):
     """(tag count, sha256 of the merged times and channels) of one preset run,
-    with the merged order taken from the run's tag-file records."""
+    with the merged order taken from the run's tag-file records; ``overrides``
+    replace further config keys."""
     cfg = replace(
         preset_config(preset),
         detector_a_dead_ns=dead_ns, detector_b_dead_ns=dead_ns, detector_i_dead_ns=dead_ns,
+        **overrides,
     )
     stream = simulate_source(cfg.make_source(), duration, seed, workers=workers)
     buf = io.BytesIO()
@@ -88,6 +90,39 @@ def test_ungated_streams_are_frozen_on_two_workers(
     preset, seed, duration, dead_ns, n_tags, digest
 ):
     assert _frozen_stream(preset, seed, duration, dead_ns, workers=2) == (n_tags, digest)
+
+
+# 3 s gated runs: a 1 us and a 1 ms gate period at the default duty, each with
+# gated and ungated darks
+_FROZEN_GATED = [
+    ("reference", 19, 1000.0, True, 7616,
+     "815fdcedf4cdf7294f7ceb9e03e8be77f71f78c35f46541981a5b9b43ae8b283"),
+    ("reference", 20, 1000.0, False, 7906,
+     "de067dff4e14c2e787dd6124a56c7357a7421d74b67ff10ccef9049c5b50f3bf"),
+    ("reference", 21, 1e6, True, 8573,
+     "0a5c69666fe1dcff051c08ae06ae0ab88036d91f73b27cf588e9265a200001dc"),
+    ("reference", 22, 1e6, False, 8446,
+     "de77d53c11eb0ac94766784d729c013f2a23664042bd5f96fb7cc5c237dda534"),
+    ("signal-autocorr", 23, 1000.0, True, 7612,
+     "e7d755e5151f059ebb928cda63d0dc2885a9aff9b1b2b04234d9f15d53b903c9"),
+    ("signal-autocorr", 24, 1000.0, False, 7641,
+     "0eac6d490370ef49d47d1c222953a056a62d1d6f0937ae245d82e590d31eccd8"),
+    ("signal-autocorr", 25, 1e6, True, 8367,
+     "0feca98702062f6af3d038631a9a69ed74824f50a2524342d99c00ec719ebc46"),
+    ("signal-autocorr", 26, 1e6, False, 8627,
+     "ba713f45954458de032858cd09433f43e0658d2628fa4afbc0277eda1c7c9119"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("preset,seed,period_ns,gate_darks,n_tags,digest", _FROZEN_GATED)
+def test_gated_streams_are_frozen(preset, seed, period_ns, gate_darks, n_tags, digest, workers):
+    """Gated draws are pinned too, so a change to how the gate is applied
+    must keep every tag or say why it does not."""
+    frozen = _frozen_stream(
+        preset, seed, 3.0, 0.0, workers, gate_period_ns=period_ns, gate_darks=gate_darks
+    )
+    assert frozen == (n_tags, digest)
 
 
 def test_a_long_draw_peaks_below_2_3_times_its_stream():
