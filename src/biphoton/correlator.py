@@ -3,16 +3,18 @@
 Everything operates on sorted :class:`~biphoton.tagstream.TagStream` data.
 Histograms are multi-stop: every (start, stop) pair whose delay falls in the
 requested range is counted, which is unbiased at high rates where classical
-start-stop counting saturates.  One kernel counts every pair (binary searches
-for each start's stop range, then one count over the bins between sorted
-edges).  Every stop search runs as tasks of one chunk of starts (the package's
-one chunk size, 2^16) on the package's one task runner, in which the calling
-thread takes tasks too, and searches only the stops its chunk can reach.  The
-kernel expands at most about a chunk of pairs at a time, and the heralded
-estimator counts its orders inside each task and sums the counts, so any worker
-count gives bit-identical results.  Windows centred at zero delay, and their
-accidental floor, are counted in exact picoseconds by one checked count, one
-stop search per analysis; peak-centred g2 reads the histogram it is given.
+start-stop counting saturates.  One kernel counts every pair: a binary search
+finds the first stop in each start's range, the end lies a few steps on from
+it or is searched for the starts still short of it, and one count runs over the
+bins between sorted edges.  Every stop search runs as tasks of one chunk of
+starts (the package's one chunk size, 2^16) on the package's one task runner,
+in which the calling thread takes tasks too, and searches only the stops its
+chunk can reach.  The kernel expands at most about a chunk of pairs at a
+time, and the heralded estimator counts its orders inside each task and sums
+the counts, so any worker count gives bit-identical results.  Windows centred
+at zero delay, and their accidental floor, are counted in exact picoseconds by
+one checked count, one stop search per analysis; peak-centred g2 reads the
+histogram it is given.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .tagstream import TagStream
 
 _CHUNK_STARTS = CHUNK
 _CHUNK_PAIRS = CHUNK  # pairs per kernel run, give or take one start's
+# stop-range ends found by stepping before a search: in the dense tag-file
+# benchmark 98.8 % of starts have at most 3 stops within +-5.5 us, and a cap of 4
+# took 33 ms per 2 M starts against 41 ms at 3, 34 ms at 8 and 58 ms searching all
+_STEPS = 4
 
 
 class AnalysisError(ValueError):
@@ -92,6 +98,25 @@ def _reach(stops: np.ndarray, part: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return stops[np.searchsorted(stops, part[0] + lo) : np.searchsorted(stops, part[-1] + hi)]
 
 
+def _ends(reach: np.ndarray, keys: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(reach, keys)`` for sorted ``keys`` whose answers are at
+    least ``lo``: the keys short of their answer step forward from ``lo``, at
+    most ``_STEPS`` times, and only those still short are searched."""
+    hi = lo.copy()
+    if not reach.size:
+        return hi
+    # a key whose index passes the last stop stays short, so it is searched
+    todo = np.flatnonzero(reach.take(hi, mode="clip") < keys)
+    for _ in range(_STEPS):
+        if not todo.size:
+            break
+        at = hi[todo] + 1
+        hi[todo] = at
+        todo = todo[reach.take(at, mode="clip") < keys[todo]]
+    hi[todo] = np.searchsorted(reach, keys[todo])
+    return hi
+
+
 def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np.ndarray:
     """Multi-stop counts of stop - start delays between consecutive sorted
     ``edges``, binned by division for a ``range`` and by search for an array.
@@ -106,7 +131,8 @@ def _histogram(starts: np.ndarray, stops: np.ndarray, edges, workers: int) -> np
         part = starts[at : at + _CHUNK_STARTS]
         reach = _reach(stops, part, edges[0], edges[-1])
         # index range [lo, hi) of the reach's stops in [start + edges[0], start + edges[-1])
-        lo, hi = (np.searchsorted(reach, part + edge) for edge in (edges[0], edges[-1]))
+        lo = np.searchsorted(reach, part + edges[0])
+        hi = _ends(reach, part + edges[-1], lo)
         mult = hi - lo
         cum = np.cumsum(mult)
         cuts = np.searchsorted(cum, np.arange(_CHUNK_PAIRS, cum[-1], _CHUNK_PAIRS), "right")

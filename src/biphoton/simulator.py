@@ -18,11 +18,16 @@ with probability q, is Bose-Einstein with mean q * mu.  Here q =
 1 - (1 - p_idler)(1 - p_A - p_B) is the chance that a pair leaves at least
 one kept detection, so only those pairs are drawn.  Per slot, a further pair
 follows each pair with probability q*mu / (1 + q*mu), so the slots between
-consecutive pairs are geometric and empty slots cost nothing.  Each pair
-then takes one outcome (A only, B only, idler+A, idler+B, idler only) with
-its probability given q, and only surviving signal photons get a delay,
-drawn as the difference of two exponentials.  A mode whose idler is filtered
-out is thereby a signal-only process.
+consecutive pairs are geometric and empty slots cost nothing.  Each gap is
+drawn by inversion, as ceil(E / -log(1 - p)) slots for a standard
+exponential E and p = q*mu / (1 + q*mu).  Below p = 1/3 (q*mu below 0.5)
+that is numpy's own geometric draw, so the slots are
+``Generator.geometric``'s; above it numpy searches instead, and the draws
+differ from its.  Each pair then takes one outcome (A only, B only,
+idler+A, idler+B, idler only) with its probability given q, and only
+surviving signal photons get a delay, drawn as the difference of two
+exponentials.  A mode whose idler is filtered out is thereby a signal-only
+process.
 
 The slot model reproduces single-mode thermal bunching (g2 -> 2) and the
 1 + 1/N reduction for N modes.  Its known artifact is that slot boundaries
@@ -208,18 +213,24 @@ def _pair_slots(rng: np.random.Generator, n_slots: int, mu: float) -> np.ndarray
     ``mu`` per slot: a slot takes a (further) pair with probability
     mu/(1+mu), else the next slot opens, so the number of slots opened
     before each pair is geometric and empty slots cost nothing."""
+    # numpy's geometric G, with P(G = g) = (1 - p)^(g - 1) p for p = mu/(1+mu), is
+    # ceil(E / rate) for a standard exponential E: one log per chunk, not per pair
+    rate = -math.log1p(-mu / (1.0 + mu))
     chunks = []
     pos = 0
     while True:
         expect = (n_slots - pos) * mu
         size = int(expect + 6.0 * math.sqrt(expect * (1.0 + mu) + 1.0)) + 16
-        idx = rng.geometric(mu / (1.0 + mu), size=size)
-        idx -= 1
+        idx = rng.standard_exponential(size)
+        idx /= rate
+        np.ceil(idx, out=idx)
+        idx -= 1.0
+        # whole numbers, so the sums are exact up to 2^53, far past a block's 2^30 slots
         np.cumsum(idx, out=idx)
         idx += pos
         inside = int(np.searchsorted(idx, n_slots))
-        # a copy frees the drawn chunk now; a view would hold it until the idler cut
-        chunks.append(idx[:inside].copy())
+        # the cast frees the drawn chunk now; a view would hold it until the idler cut
+        chunks.append(idx[:inside].astype(np.int64))
         if inside < idx.size:
             return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         pos = int(idx[-1])
@@ -266,18 +277,23 @@ def _generate_photons(
         for edge in edges:
             outcome += u >= edge
         del u
-        # np.compress beats a mask on mixed masks but builds an 8-byte index per kept
-        # item, so the returned cuts that can keep nearly all (idler, signal-A) stay masks
-        with_signal = outcome < 4
-        signal = np.compress(with_signal, idler)
+        # one index of the pairs with a signal serves both signal takes; it costs 8 bytes
+        # a kept pair, so the returned cuts that can keep nearly all (idler, signal-A)
+        # stay masks
+        with_signal = np.flatnonzero(outcome < 4)
+        signal = idler.take(with_signal)
         # outcomes 0 and 2 reach signal-A, the odd ones 1 and 3 signal-B
-        odd = (np.compress(with_signal, outcome) & 1).view(bool)
+        odd = (outcome.take(with_signal) & 1).view(bool)
+        del with_signal
         idler = idler[outcome >= 2]
-        del outcome, with_signal
+        del outcome
         n = signal.size
         delay = delay_rng.standard_exponential(n)
         delay *= tau_fall_ps
-        delay -= tau_rise_ps * delay_rng.standard_exponential(n)
+        rise = delay_rng.standard_exponential(n)
+        rise *= tau_rise_ps
+        delay -= rise
+        del rise
         signal += np.rint(delay, out=delay).astype(np.int64)
         a, b = signal[~odd], np.compress(odd, signal)
         return {CHANNEL_IDLER: idler, CHANNEL_SIGNAL_A: a, CHANNEL_SIGNAL_B: b}

@@ -165,14 +165,19 @@ def _check_split(
         part, n, at = slices[k], counts[k], places[k]
         # strided fields cost twice as much to compare and compress
         times, channels = (np.ascontiguousarray(f) for f in fields(part))
-        i = _first_disorder(times, channels)
-        fault = None
+        fault = beyond = None
+        # a slice of strictly increasing times is in order, and in range when its
+        # ends are; only a slice that fails either test is scanned for its first error
+        increasing = not (times[1:] <= times[:-1]).any()
+        i = 0 if increasing else _first_disorder(times, channels)
         if i:
             fault = _disorder_error(
                 (times[i - 1], channels[i - 1]), (times[i], channels[i]), part.start + i
             )
-        far = np.flatnonzero(times.view(np.uint64) >= _CLOCK_PS)
-        beyond = _ClockError(part.start + int(far[0]), int(times[far[0]])) if far.size else None
+        if not (increasing and times[0] >= 0 and times[-1] < _CLOCK_PS):
+            far = np.flatnonzero(times.view(np.uint64) >= _CLOCK_PS)
+            if far.size:
+                beyond = _ClockError(part.start + int(far[0]), int(times[far[0]]))
         for channel, dest in out.items():
             keep = channels == channel
             if np.count_nonzero(keep) != n[channel]:
@@ -194,6 +199,24 @@ def _check_split(
     if errors:
         raise min(errors, key=lambda error: error.index)
     return out
+
+
+def _exact(values, dtype: type, what: str, must_be: str) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array; a value the cast would
+    change, such as a wrapped channel or a truncated time, raises."""
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return np.ascontiguousarray(values)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and infinities are caught below
+            cast = np.ascontiguousarray(values, dtype=dtype)
+    except OverflowError:
+        raise TagStreamError(f"every {what} must be {must_be}") from None
+    changed = np.flatnonzero(cast != values)
+    if changed.size:
+        i = int(changed[0])
+        raise TagStreamError(f"{what} {values.flat[i]} at index {i} is not {must_be}")
+    return cast
 
 
 class TagStream:
@@ -218,8 +241,8 @@ class TagStream:
     __slots__ = ("_by_channel", "_len", "_span_ps")
 
     def __new__(cls, times, channels) -> TagStream:
-        times = np.ascontiguousarray(times, dtype=np.int64)
-        channels = np.ascontiguousarray(channels, dtype=np.uint8)
+        times = _exact(times, np.int64, "time", "a whole number of picoseconds below 2^63")
+        channels = _exact(channels, np.uint8, "channel", "a whole number in 0..255")
         if times.ndim != 1 or channels.shape != times.shape:
             raise TagStreamError("times and channels must be 1-D arrays of equal length")
         return cls._owning(_check_split(times.size, lambda part: (times[part], channels[part])))

@@ -143,14 +143,14 @@ def test_metrics_on_saved_tags(tmp_path, lossless_tags, capsys):
 
 def test_sweep_window_uses_tags_and_divisor(tmp_path, lossless_tags):
     cfg, tags = lossless_tags
-    base = parse_config(open(cfg).read())
+    base = parse_config(Path(cfg).read_text())
     plain = _write(
         tmp_path, "w1.cfg",
-        open(cfg).read() + "\n[sweep]\nwindows_ns = 100, 400\n"
+        Path(cfg).read_text() + "\n[sweep]\nwindows_ns = 100, 400\n"
     )
     divided = _write(
         tmp_path, "w2.cfg",
-        open(cfg).read() + "\n[sweep]\nwindows_ns = 100, 400\ng2_divisor = 5.0\n"
+        Path(cfg).read_text() + "\n[sweep]\nwindows_ns = 100, 400\ng2_divisor = 5.0\n"
     )
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert main(["sweep-window", "--config", plain, "--tags", tags, "--out", str(out1)]) == 0
@@ -174,10 +174,10 @@ def test_sweep_window_accepts_any_bin_width(tmp_path, lossless_tags, extra):
     # windows and floor are counted in exact picoseconds, whether or not their
     # edges lie on the bin_ns grid
     cfg, tags = lossless_tags
-    swept = _write(tmp_path, "w.cfg", open(cfg).read() + extra)
+    swept = _write(tmp_path, "w.cfg", Path(cfg).read_text() + extra)
     out = tmp_path / "w"
     assert main(["sweep-window", "--config", swept, "--tags", tags, "--out", str(out)]) == 0
-    windows = parse_config(open(swept).read()).windows_ns
+    windows = parse_config(Path(swept).read_text()).windows_ns
     assert [float(r["window_ns"]) for r in _rows(out / "window_sweep.csv")] == list(windows)
 
 
@@ -203,7 +203,7 @@ def test_sweep_window_is_one_stop_search_whatever_the_bin_width(
     for bin_ns in (5, 7):
         swept = _write(
             tmp_path, f"b{bin_ns}.cfg",
-            open(cfg).read() + f"[analysis]\nbin_ns = {bin_ns}\ntau_range_ns = 3500\n",
+            Path(cfg).read_text() + f"[analysis]\nbin_ns = {bin_ns}\ntau_range_ns = 3500\n",
         )
         out = tmp_path / f"b{bin_ns}"
         calls.clear()
@@ -273,7 +273,7 @@ def test_every_tag_file_read_runs_on_the_configured_workers(
     swept, out = tmp_path / "w.cfg", tmp_path / "w"
     artifacts = []
     for n in (1, 3):
-        swept.write_text(open(cfg).read() + f"[analysis]\nworkers = {n}\n", encoding="ascii")
+        swept.write_text(Path(cfg).read_text() + f"[analysis]\nworkers = {n}\n", encoding="ascii")
         assert main([command, "--config", str(swept), "--tags", tags, "--out", str(out)]) == 0
         artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert workers == [1, 3]

@@ -485,6 +485,36 @@ def test_pair_cap_cuts_leave_counts_exact(cap):
             assert np.array_equal(hist.counts, _brute_force(stream, 0, 2, 7, (-700, 700)))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 60), max_size=40),
+    st.lists(st.integers(-5, 70), min_size=1, max_size=40),
+    st.integers(0, 30),
+)
+@example(stops=list(range(0, 40, 2)), keys=[10, 31, 69, 70], width=30)
+def test_stop_ends_are_the_binary_search(stops, keys, width):
+    """Stepped ends equal np.searchsorted, for keys past the last stop and
+    for keys more than the step cap beyond their lower bound."""
+    reach, keys = np.sort(np.array(stops, dtype=np.int64)), np.sort(np.array(keys))
+    lo = np.searchsorted(reach, keys - width)
+    want = np.searchsorted(reach, keys)
+    assert np.array_equal(biphoton.correlator._ends(reach, keys, lo), want)
+
+
+@pytest.mark.parametrize("steps", [0, 1, None])
+def test_stop_ranges_past_the_step_cap_count_all_pairs(steps):
+    """About 23 stops lie in each start's range, more than the step cap, so
+    most ends come from the search after the steps."""
+    stream = _random_tag_soup(2_000, seed=71)
+    starts, stops = stream.channel_times(0), stream.channel_times(2)
+    in_range = np.searchsorted(stops, starts + 3_500) - np.searchsorted(stops, starts - 3_500)
+    assert np.median(in_range) > biphoton.correlator._STEPS
+    cap = biphoton.correlator._STEPS if steps is None else steps
+    with mock.patch.object(biphoton.correlator, "_STEPS", cap):
+        hist = cross_correlation_histogram(stream, 0, 2, 7, (-3_500, 3_500))
+    assert np.array_equal(hist.counts, _brute_force(stream, 0, 2, 7, (-3_500, 3_500)))
+
+
 def test_wide_floor_memory_stays_bounded_by_the_pair_cap():
     """2 500 heralds against 2 M stops over 1 s with a floor out to 1 ms:
     about 10 M pairs, which the kernel expands about 2^20 at a time."""

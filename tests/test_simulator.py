@@ -141,17 +141,17 @@ def test_a_long_draw_peaks_below_2_3_times_its_stream():
 
 
 class _Geometric:
-    """Forwards geometric draws to a seeded generator, cutting the first
-    chunk to a quarter of the size asked for if ``cut_first``."""
+    """Forwards the slot draws' exponentials to a seeded generator, cutting
+    the first chunk to a quarter of the size asked for if ``cut_first``."""
 
     def __init__(self, seed, cut_first):
         self.rng, self.cut_first, self.sizes = np.random.default_rng(seed), cut_first, []
 
-    def geometric(self, p, size):
+    def standard_exponential(self, size):
         if self.cut_first and not self.sizes:
             size //= 4
         self.sizes.append(size)
-        return self.rng.geometric(p, size=size)
+        return self.rng.standard_exponential(size)
 
 
 def test_pair_slots_continue_after_a_short_chunk():
@@ -162,6 +162,43 @@ def test_pair_slots_continue_after_a_short_chunk():
     assert len(one.sizes) == 1 and whole.size > 19_000
     assert np.array_equal(simulator._pair_slots(cut, 2_000_000, 0.01), whole)
     assert len(cut.sizes) > 1
+
+
+def _pair_slots_by_geometric(rng, n_slots, mu):
+    """The slot draw as numpy's geometric gaps, chunked as the simulator
+    chunks them: the definition the exponential inversion must reproduce."""
+    chunks, pos = [], 0
+    while True:
+        expect = (n_slots - pos) * mu
+        size = int(expect + 6.0 * np.sqrt(expect * (1.0 + mu) + 1.0)) + 16
+        idx = pos + np.cumsum(rng.geometric(mu / (1.0 + mu), size=size) - 1)
+        inside = int(np.searchsorted(idx, n_slots))
+        chunks.append(idx[:inside])
+        if inside < idx.size:
+            return np.concatenate(chunks)
+        pos = int(idx[-1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1e-4, 3e-3, 0.17, 0.3333])
+def test_pair_slots_are_the_geometric_draw(p, seed):
+    """Below p = 1/3 numpy draws a geometric gap as ceil(E / -log1p(-p)),
+    so the inversion gives its slots draw for draw."""
+    mu = p / (1.0 - p)
+    got = simulator._pair_slots(np.random.default_rng(seed), 300_000, mu)
+    want = _pair_slots_by_geometric(np.random.default_rng(seed), 300_000, mu)
+    assert got.dtype == np.int64 and got.size > 10
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mu", [1e-12, 3.4e-19, 1e-30])
+def test_pair_slots_stay_in_the_block_at_tiny_means(mu):
+    """Gaps of about 1/mu slots, summed, pass 2^63 below mu = 1e-18 (a pump of
+    1e-15 mW); the slots must still ascend and lie inside the block."""
+    for seed in range(5):
+        slots = simulator._pair_slots(np.random.default_rng(seed), 1 << 30, mu)
+        assert np.all(slots[1:] >= slots[:-1])
+        assert np.all((slots >= 0) & (slots < 1 << 30))
 
 
 def _detector(efficiency):

@@ -327,6 +327,24 @@ def test_constructor_rejects_negative_times():
         TagStream([-1, 5], [0, 0])
 
 
+@pytest.mark.parametrize(
+    "times,channels,message",
+    [
+        ([0, 1, 2], np.array([0, 256, 1]), "channel 256 at index 1"),
+        ([0, 1, 2], np.array([0, -1, 1]), "channel -1 at index 1"),
+        ([0, 1, 2], np.array([0, 300, 1]), "channel 300 at index 1"),
+        ([0, 1, 2], [0, 2.7, 1], "channel 2.7 at index 1"),
+        ([0, 1.5, 2], [0, 1, 1], "time 1.5 at index 1"),
+    ],
+    ids=["channel-256", "channel-minus-1", "channel-300", "channel-2.7", "time-1.5"],
+)
+def test_constructor_refuses_values_the_cast_would_change(times, channels, message):
+    """A channel outside 0..255 would wrap into another channel, and a
+    fractional value would be truncated, so each is refused, not merged."""
+    with pytest.raises(TagStreamError, match=message):
+        TagStream(times, channels)
+
+
 def test_constructor_accepts_tied_times_in_channel_order():
     stream = TagStream([10, 10, 10], [0, 1, 3])
     assert len(stream) == 3
